@@ -1,5 +1,7 @@
 #include "noc/kernel/soa_cycle.hh"
 
+#include <bit>
+
 #include "noc/routing.hh"
 #include "noc/topology.hh"
 #include "sim/logging.hh"
@@ -23,7 +25,60 @@ roundPow2(std::uint32_t v)
     return c;
 }
 
+/** Round-robin arbiter over a non-empty request word: the first set
+ *  bit at or after @p cursor, else the lowest set bit — the winner a
+ *  modular scan from the cursor finds. @p cursor is below the word
+ *  width (restore() range-checks every archived cursor). */
+template <typename Word>
+int
+rrPick(Word req, int cursor)
+{
+    Word from_cursor = req & (~Word{0} << cursor);
+    return std::countr_zero(from_cursor ? from_cursor : req);
+}
+
+/** @p k + 1, wrapped to 0 at @p n: a cursor advance without `%`. */
+int
+nextRr(int k, int n)
+{
+    return k + 1 == n ? 0 : k + 1;
+}
+
+/** Range check for a value read back from the archive section
+ *  @p unit @p idx ("router 3"): panic() unless lo <= v < hi. */
+template <typename T>
+T
+checkedIndex(T v, std::int64_t lo, std::int64_t hi, const char *what,
+             const char *unit, std::size_t idx)
+{
+    if (static_cast<std::int64_t>(v) < lo ||
+        static_cast<std::int64_t>(v) >= hi)
+        panic("soa restore: ", unit, " ", idx, ": ", what, " ",
+              static_cast<std::int64_t>(v), " outside [", lo, ", ", hi,
+              ")");
+    return v;
+}
+
 } // namespace
+
+void
+SoaCycleFabric::checkGeometry(const std::string &topology, int ports,
+                              int total_vcs, int buffer_depth)
+{
+    if (ports > max_ports)
+        fatal("network.kernel=soa supports at most ", max_ports,
+              " ports per router; topology '", topology, "' has ",
+              ports, "; use network.kernel=object");
+    if (total_vcs > max_vcs)
+        fatal("network.kernel=soa supports at most ", max_vcs,
+              " VCs per port (got ", total_vcs,
+              " = 3 vnets x vc_classes x vcs_per_vnet); use "
+              "network.kernel=object");
+    if (buffer_depth > max_buffer_depth)
+        fatal("network.kernel=soa supports buffer_depth up to ",
+              max_buffer_depth, " (got ", buffer_depth,
+              "); use network.kernel=object");
+}
 
 SoaCycleFabric::RouterStats::RouterStats(stats::Group *parent, int id)
     : stats::Group(parent, "router" + std::to_string(id)),
@@ -67,14 +122,11 @@ SoaCycleFabric::SoaCycleFabric(stats::Group *parent,
     V_ = params_.totalVcs();
     D_ = params_.buffer_depth;
     C_ = num_vnets * params_.vc_classes;
+    W_ = params_.vcs_per_vnet;
 
-    if (P_ > max_ports)
-        fatal("network.kernel=soa supports at most ", max_ports,
-              " ports per router; topology '", topo.name(), "' has ",
-              P_);
-    if (D_ > 65535)
-        fatal("network.kernel=soa supports buffer_depth up to 65535 "
-              "(got ", D_, "); use network.kernel=object");
+    checkGeometry(topo.name(), P_, V_, D_);
+    // W_ <= V_ / 3 <= 21, so the shift is in range.
+    pool_mask_ = (VcMask{1} << W_) - 1;
 
     simd_ = cpuid::resolveSimdLevel(params_.simd);
     scan_ = activeScanFor(simd_);
@@ -100,10 +152,13 @@ SoaCycleFabric::SoaCycleFabric(stats::Group *parent,
     fifo_.assign(npv * D_, Flit{});
     fifo_head_.assign(npv, 0);
     fifo_size_.assign(npv, 0);
+    sa_cand_.assign(np, 0);
+    need_va_.assign(np, 0);
+    need_va_ports_.assign(n_, 0);
     ip_sa_rr_.assign(np, 0);
     op_sa_rr_.assign(np, 0);
     op_va_rr_.assign(np * C_, 0);
-    ovc_busy_.assign(npv, 0);
+    ovc_free_.assign(np, V_ == max_vcs ? ~VcMask{0} : bit(V_) - 1);
     ovc_credits_.assign(npv, 0);
     in_link_.assign(np, -1);
     out_link_.assign(np, -1);
@@ -133,11 +188,7 @@ SoaCycleFabric::SoaCycleFabric(stats::Group *parent,
     for (auto &s : route_scratch_)
         s.reserve(8);
 
-    d_flits_routed_.assign(n_, 0);
-    d_buffer_writes_.assign(n_, 0);
-    d_link_traversals_.assign(n_, 0);
-    d_flits_sent_.assign(n_, 0);
-    d_flits_received_.assign(n_, 0);
+    deltas_.assign(n_, NodeDeltas{});
 
     // Links in the object backend's creation order (the archive link
     // order): all router-to-router links, then per node the injection
@@ -288,8 +339,8 @@ SoaCycleFabric::nicCompute(int i, Cycle now)
                        popCredit(inj)];
 
     // Inject at most one flit per cycle, round-robin over vnets.
-    for (int k = 0; k < num_vnets; ++k) {
-        int v = (nic_rr_vnet_[i] + k) % num_vnets;
+    for (int k = 0, v = nic_rr_vnet_[i]; k < num_vnets;
+         ++k, v = nextRr(v, num_vnets)) {
         FlitRing &q = nicq_[static_cast<std::size_t>(i) * num_vnets + v];
         if (q.size == 0)
             continue;
@@ -302,14 +353,13 @@ SoaCycleFabric::nicCompute(int i, Cycle now)
             std::int32_t &rr =
                 nic_va_rr_[static_cast<std::size_t>(i) * num_vnets + v];
             vc = -1;
-            for (int t = 0; t < params_.vcs_per_vnet; ++t) {
-                int cand = params_.vcIndex(
-                    v, 0, (rr + t) % params_.vcs_per_vnet);
+            for (int t = 0, k = rr; t < W_; ++t, k = nextRr(k, W_)) {
+                int cand = params_.vcIndex(v, 0, k);
                 std::size_t x =
                     static_cast<std::size_t>(i) * V_ + cand;
                 if (!inj_busy_[x] && inj_credits_[x] > 0) {
                     vc = cand;
-                    rr = ((rr + t) + 1) % params_.vcs_per_vnet;
+                    rr = nextRr(k, W_);
                     break;
                 }
             }
@@ -339,8 +389,8 @@ SoaCycleFabric::nicCompute(int i, Cycle now)
                 -1;
         }
         pushFlit(inj, now, std::move(f));
-        ++d_flits_sent_[i];
-        nic_rr_vnet_[i] = (v + 1) % num_vnets;
+        ++deltas_[i].flits_sent;
+        nic_rr_vnet_[i] = nextRr(v, num_vnets);
         break;
     }
 }
@@ -389,14 +439,13 @@ SoaCycleFabric::selectOutputPort(int i, const Flit &head,
     for (int port : cand) {
         if (port == in_port)
             continue; // no U-turns
-        int cls = nextVcClass(i, head, port);
+        int base = params_.vcIndex(head.vnet,
+                                   nextVcClass(i, head, port), 0);
         int credits = 0;
-        for (int k = 0; k < params_.vcs_per_vnet; ++k) {
-            int vc = params_.vcIndex(head.vnet, cls, k);
-            std::size_t x = vi(i, port, vc);
-            if (!ovc_busy_[x])
-                credits += ovc_credits_[x];
-        }
+        for (VcMask m = (ovc_free_[pi(i, port)] >> base) & pool_mask_;
+             m; m &= m - 1)
+            credits += ovc_credits_[vi(i, port,
+                                       base + std::countr_zero(m))];
         if (credits > best_credits) {
             best_credits = credits;
             best = port;
@@ -408,104 +457,133 @@ SoaCycleFabric::selectOutputPort(int i, const Flit &head,
 int
 SoaCycleFabric::allocateOutVc(int i, int out_port, int vnet, int cls)
 {
+    // The pool's free VCs as a W_-bit word; the per-pool cursor picks
+    // among them exactly as a scan from the cursor would.
+    int base = params_.vcIndex(vnet, cls, 0);
+    VcMask &free = ovc_free_[pi(i, out_port)];
+    VcMask pool = (free >> base) & pool_mask_;
+    if (!pool)
+        return -1;
     std::int32_t &rr =
         op_va_rr_[pi(i, out_port) * C_ + vnet * params_.vc_classes +
                   cls];
-    for (int k = 0; k < params_.vcs_per_vnet; ++k) {
-        int idx = (rr + k) % params_.vcs_per_vnet;
-        int vc = params_.vcIndex(vnet, cls, idx);
-        std::size_t x = vi(i, out_port, vc);
-        if (!ovc_busy_[x]) {
-            ovc_busy_[x] = 1;
-            rr = (idx + 1) % params_.vcs_per_vnet;
-            return vc;
+    int idx = rrPick(pool, rr);
+    free &= ~bit(base + idx);
+    rr = nextRr(idx, W_);
+    return base + idx;
+}
+
+void
+SoaCycleFabric::setNeedVa(int i, int p, int v)
+{
+    ivc_state_[vi(i, p, v)] = vc_need_va;
+    need_va_[pi(i, p)] |= bit(v);
+    need_va_ports_[i] |= 1u << p;
+}
+
+void
+SoaCycleFabric::routerComputeVa(int i)
+{
+    std::uint32_t ports = need_va_ports_[i];
+    if (!ports)
+        return;
+    // Input ports in rotated order from phase_va_start_ (now mod P, so
+    // no port enjoys permanent priority for fresh output VCs), VCs
+    // ascending inside a port: the object backend's visiting order
+    // with the VCs that do not need VA skipped.
+    std::uint32_t from_start = ports & (~0u << phase_va_start_);
+    for (std::uint32_t pm : {from_start, ports & ~from_start}) {
+        for (; pm; pm &= pm - 1) {
+            int p = std::countr_zero(pm);
+            VcMask &need = need_va_[pi(i, p)];
+            for (VcMask m = need; m; m &= m - 1) {
+                int v = std::countr_zero(m);
+                std::size_t x = vi(i, p, v);
+                if (fifo_size_[x] == 0)
+                    panic("router", i, ": NeedVA VC with empty fifo");
+                const Flit &head = fifo_[x * D_ + fifo_head_[x]];
+                if (!head.isHead())
+                    panic("router", i,
+                          ": NeedVA VC fronted by body flit");
+                auto &scratch = route_scratch_[i];
+                scratch.clear();
+                routing_.route(topo_, i, head.pkt->dst, scratch);
+                int out_port = selectOutputPort(i, head, scratch, p);
+                std::uint8_t cls = nextVcClass(i, head, out_port);
+                int out_vc = allocateOutVc(i, out_port, head.vnet, cls);
+                if (out_vc < 0)
+                    continue; // retry next cycle
+                ivc_state_[x] = vc_active;
+                ivc_out_port_[x] = static_cast<std::int16_t>(out_port);
+                ivc_out_vc_[x] = static_cast<std::int16_t>(out_vc);
+                ivc_out_class_[x] = cls;
+                ivc_out_dim_[x] = dimOf(out_port);
+                need &= ~bit(v);
+                sa_cand_[pi(i, p)] |= bit(v); // FIFO holds the head
+            }
+            if (!need)
+                need_va_ports_[i] &= ~(1u << p);
+        }
+    }
+}
+
+int
+SoaCycleFabric::saNominee(int i, int p, Cycle now) const
+{
+    // SA candidates (active, non-empty) in round-robin order from the
+    // port's cursor; the first whose head is ready and whose output
+    // VC has a credit wins.
+    VcMask cand = sa_cand_[pi(i, p)];
+    VcMask from_cursor = cand & (~VcMask{0} << ip_sa_rr_[pi(i, p)]);
+    std::size_t base = vi(i, p, 0);
+    for (VcMask vm : {from_cursor, cand & ~from_cursor}) {
+        for (; vm; vm &= vm - 1) {
+            int v = std::countr_zero(vm);
+            std::size_t x = base + v;
+            if (fifo_[x * D_ + fifo_head_[x]].ready_cycle <= now &&
+                ovc_credits_[vi(i, ivc_out_port_[x], ivc_out_vc_[x])] >
+                    0)
+                return v;
         }
     }
     return -1;
 }
 
 void
-SoaCycleFabric::routerComputeVa(int i, Cycle now)
-{
-    // Rotate the starting input port each cycle so no port enjoys
-    // permanent priority for fresh output VCs.
-    int start = static_cast<int>(now % P_);
-    for (int k = 0; k < P_; ++k) {
-        int p = (start + k) % P_;
-        for (int v = 0; v < V_; ++v) {
-            std::size_t x = vi(i, p, v);
-            if (ivc_state_[x] != vc_need_va)
-                continue;
-            if (fifo_size_[x] == 0)
-                panic("router", i, ": NeedVA VC with empty fifo");
-            const Flit &head = fifo_[x * D_ + fifo_head_[x]];
-            if (!head.isHead())
-                panic("router", i, ": NeedVA VC fronted by body flit");
-            auto &scratch = route_scratch_[i];
-            scratch.clear();
-            routing_.route(topo_, i, head.pkt->dst, scratch);
-            int out_port = selectOutputPort(i, head, scratch, p);
-            std::uint8_t cls = nextVcClass(i, head, out_port);
-            int out_vc = allocateOutVc(i, out_port, head.vnet, cls);
-            if (out_vc < 0)
-                continue; // retry next cycle
-            ivc_state_[x] = vc_active;
-            ivc_out_port_[x] = static_cast<std::int16_t>(out_port);
-            ivc_out_vc_[x] = static_cast<std::int16_t>(out_vc);
-            ivc_out_class_[x] = cls;
-            ivc_out_dim_[x] = dimOf(out_port);
-        }
-    }
-}
-
-void
 SoaCycleFabric::routerComputeSa(int i, Cycle now)
 {
-    int winner[max_ports];
-
-    // Input stage: each input port nominates one ready VC.
+    // Input stage: each input port nominates one ready VC and sets
+    // its bit in the request word of that VC's output port.
+    int winner[max_ports] = {};
+    std::uint32_t out_req[max_ports] = {};
+    std::uint32_t requested = 0;
     for (int p = 0; p < P_; ++p) {
-        winner[p] = -1;
-        std::size_t base = vi(i, p, 0);
-        int rr = ip_sa_rr_[pi(i, p)];
-        for (int k = 0; k < V_; ++k) {
-            int v = (rr + k) % V_;
-            std::size_t x = base + v;
-            if (ivc_state_[x] != vc_active || fifo_size_[x] == 0)
-                continue;
-            const Flit &f = fifo_[x * D_ + fifo_head_[x]];
-            if (f.ready_cycle > now)
-                continue;
-            if (ovc_credits_[vi(i, ivc_out_port_[x],
-                                ivc_out_vc_[x])] <= 0)
-                continue;
-            winner[p] = v;
-            break;
-        }
+        if (!sa_cand_[pi(i, p)])
+            continue;
+        int v = saNominee(i, p, now);
+        if (v < 0)
+            continue;
+        winner[p] = v;
+        int op = ivc_out_port_[vi(i, p, v)];
+        out_req[op] |= 1u << p;
+        requested |= 1u << op;
     }
 
-    // Output stage: each output port grants one input port.
-    for (int op = 0; op < P_; ++op) {
-        if (out_link_[pi(i, op)] < 0)
+    // Output stage, output ports ascending: each grants one requesting
+    // input port. An input requests a single output, so every input
+    // is granted at most once per cycle.
+    for (; requested; requested &= requested - 1) {
+        int op = std::countr_zero(requested);
+        std::int32_t out_id = out_link_[pi(i, op)];
+        if (out_id < 0)
             continue;
-        int granted = -1;
-        int rr = op_sa_rr_[pi(i, op)];
-        for (int k = 0; k < P_; ++k) {
-            int p = (rr + k) % P_;
-            if (winner[p] < 0)
-                continue;
-            if (ivc_out_port_[vi(i, p, winner[p])] != op)
-                continue;
-            granted = p;
-            break;
-        }
-        if (granted < 0)
-            continue;
-        op_sa_rr_[pi(i, op)] = (granted + 1) % P_;
+        int granted = rrPick(out_req[op], op_sa_rr_[pi(i, op)]);
+        op_sa_rr_[pi(i, op)] = nextRr(granted, P_);
 
         // Switch + link traversal for the granted flit.
-        std::size_t x = vi(i, granted, winner[granted]);
-        ip_sa_rr_[pi(i, granted)] = (winner[granted] + 1) % V_;
+        int in_vc = winner[granted];
+        std::size_t x = vi(i, granted, in_vc);
+        ip_sa_rr_[pi(i, granted)] = nextRr(in_vc, V_);
         Flit f = std::move(fifo_[x * D_ + fifo_head_[x]]);
         std::uint16_t h = static_cast<std::uint16_t>(fifo_head_[x] + 1);
         fifo_head_[x] = h == D_ ? 0 : h;
@@ -517,23 +595,25 @@ SoaCycleFabric::routerComputeSa(int i, Cycle now)
         f.vc_class = ivc_out_class_[x];
         if (op != port_local) {
             f.last_dim = ivc_out_dim_[x];
-            ++d_link_traversals_[i];
+            ++deltas_[i].link_traversals;
             if (f.isHead())
                 ++f.pkt->hops;
         }
         --ovc_credits_[vi(i, op, out_vc)];
-        ++d_flits_routed_[i];
+        ++deltas_[i].flits_routed;
 
         bool was_tail = f.isTail();
-        pushFlit(links_[out_link_[pi(i, op)]], now, std::move(f));
+        pushFlit(links_[out_id], now, std::move(f));
 
         // Return the freed buffer slot to the upstream sender.
         std::int32_t in_id = in_link_[pi(i, granted)];
         if (in_id >= 0)
-            pushCredit(links_[in_id], now, winner[granted]);
+            pushCredit(links_[in_id], now, in_vc);
 
+        if (was_tail || fifo_size_[x] == 0)
+            sa_cand_[pi(i, granted)] &= ~bit(in_vc);
         if (was_tail) {
-            ovc_busy_[vi(i, op, out_vc)] = 0;
+            ovc_free_[pi(i, op)] |= bit(out_vc);
             ivc_out_port_[x] = -1;
             ivc_out_vc_[x] = -1;
             if (fifo_size_[x] == 0) {
@@ -543,33 +623,35 @@ SoaCycleFabric::routerComputeSa(int i, Cycle now)
                     panic("router", i,
                           ": tail departed but next flit is not a "
                           "head");
-                ivc_state_[x] = vc_need_va;
+                setNeedVa(i, granted, in_vc);
             }
         }
-
-        winner[granted] = -1; // one grant per input port per cycle
     }
 }
 
 void
 SoaCycleFabric::routerCommit(int i, Cycle now)
 {
+    // The node's commit-block words count each link's pending flits
+    // and credits, so empty links are skipped without touching them.
+    const std::uint32_t *occ =
+        &commit_occ_[static_cast<std::size_t>(i) * commit_words];
     for (int p = 0; p < P_; ++p) {
-        std::int32_t in_id = in_link_[pi(i, p)];
-        if (in_id < 0)
+        if (!occ[p])
             continue;
-        SoaLink &l = links_[in_id];
+        SoaLink &l = links_[in_link_[pi(i, p)]];
         while (flitReady(l, now)) {
             Flit f = popFlit(l);
             if (f.vc < 0 || f.vc >= V_)
                 panic("router", i, ": flit with unallocated VC");
-            std::size_t x = vi(i, p, f.vc);
+            int f_vc = f.vc;
+            std::size_t x = vi(i, p, f_vc);
             if (fifo_size_[x] >= D_)
                 panic("router", i, " port ", portName(p), " vc ",
                       static_cast<int>(f.vc),
                       ": buffer overflow (credit protocol violated)");
             f.ready_cycle = now + params_.pipeline_stages;
-            ++d_buffer_writes_[i];
+            ++deltas_[i].buffer_writes;
             bool was_empty = fifo_size_[x] == 0;
             bool is_head = f.isHead();
             std::uint16_t slot =
@@ -586,15 +668,16 @@ SoaCycleFabric::routerCommit(int i, Cycle now)
                 if (!was_empty || !is_head)
                     panic("router", i,
                           ": idle VC must receive a head flit first");
-                ivc_state_[x] = vc_need_va;
+                setNeedVa(i, p, f_vc);
+            } else if (was_empty && ivc_state_[x] == vc_active) {
+                sa_cand_[pi(i, p)] |= bit(f_vc);
             }
         }
     }
     for (int p = 0; p < P_; ++p) {
-        std::int32_t out_id = out_link_[pi(i, p)];
-        if (out_id < 0)
+        if (!occ[occ_out_credit_base + p])
             continue;
-        SoaLink &l = links_[out_id];
+        SoaLink &l = links_[out_link_[pi(i, p)]];
         while (creditReady(l, now))
             ++ovc_credits_[vi(i, p, popCredit(l))];
     }
@@ -609,7 +692,7 @@ SoaCycleFabric::nicCommit(int i, Cycle now)
         // The ejection buffer drains instantly: return the credit for
         // the slot right away.
         pushCredit(ej, now, f.vc);
-        ++d_flits_received_[i];
+        ++deltas_[i].flits_received;
         PacketPtr pkt = f.pkt;
         std::uint32_t want = params_.flitsPerPacket(pkt->size_bytes);
         std::uint32_t got = ++rx_[i][pkt->id];
@@ -629,31 +712,18 @@ SoaCycleFabric::flushNodeStats(int i)
     // Counters are integer-valued and far below 2^53, so a batched
     // double add lands on the same value as the object backend's
     // per-event increments.
-    if (d_flits_routed_[i]) {
-        router_stats_[i]->flitsRouted +=
-            static_cast<double>(d_flits_routed_[i]);
-        d_flits_routed_[i] = 0;
-    }
-    if (d_buffer_writes_[i]) {
-        router_stats_[i]->bufferWrites +=
-            static_cast<double>(d_buffer_writes_[i]);
-        d_buffer_writes_[i] = 0;
-    }
-    if (d_link_traversals_[i]) {
-        router_stats_[i]->linkTraversals +=
-            static_cast<double>(d_link_traversals_[i]);
-        d_link_traversals_[i] = 0;
-    }
-    if (d_flits_sent_[i]) {
-        nic_stats_[i]->flitsSent +=
-            static_cast<double>(d_flits_sent_[i]);
-        d_flits_sent_[i] = 0;
-    }
-    if (d_flits_received_[i]) {
-        nic_stats_[i]->flitsReceived +=
-            static_cast<double>(d_flits_received_[i]);
-        d_flits_received_[i] = 0;
-    }
+    auto flush = [](stats::Scalar &stat, std::uint64_t &delta) {
+        if (delta) {
+            stat += static_cast<double>(delta);
+            delta = 0;
+        }
+    };
+    NodeDeltas &d = deltas_[i];
+    flush(router_stats_[i]->flitsRouted, d.flits_routed);
+    flush(router_stats_[i]->bufferWrites, d.buffer_writes);
+    flush(router_stats_[i]->linkTraversals, d.link_traversals);
+    flush(nic_stats_[i]->flitsSent, d.flits_sent);
+    flush(nic_stats_[i]->flitsReceived, d.flits_received);
 }
 
 void
@@ -665,6 +735,7 @@ SoaCycleFabric::compute(StepEngine &engine, Cycle now,
     if (compute_list_.empty())
         return;
     phase_now_ = now;
+    phase_va_start_ = static_cast<int>(now % P_);
     phase_stalled_ = &stalled;
     engine.forRange(
         compute_list_.size(), [this](std::size_t b, std::size_t e) {
@@ -674,7 +745,7 @@ SoaCycleFabric::compute(StepEngine &engine, Cycle now,
                 int i = compute_list_[k];
                 nicCompute(i, now);
                 if (!stalled[i]) {
-                    routerComputeVa(i, now);
+                    routerComputeVa(i);
                     routerComputeSa(i, now);
                 }
             }
@@ -785,7 +856,7 @@ SoaCycleFabric::save(ArchiveWriter &aw) const
                 aw.putI64(op_va_rr_[pi(i, p) * C_ + c]);
             for (int v = 0; v < V_; ++v) {
                 std::size_t x = vi(i, p, v);
-                aw.putBool(ovc_busy_[x] != 0);
+                aw.putBool(!(ovc_free_[pi(i, p)] & bit(v)));
                 aw.putI64(ovc_credits_[x]);
             }
         }
@@ -844,87 +915,144 @@ SoaCycleFabric::save(ArchiveWriter &aw) const
     }
 }
 
+Flit
+SoaCycleFabric::restoreCheckedFlit(ArchiveReader &ar,
+                                   const PacketTable &table,
+                                   const char *unit, std::size_t idx,
+                                   bool on_link) const
+{
+    Flit f = restoreFlit(ar, table);
+    checkedIndex(static_cast<int>(f.type), 0, 4, "flit type", unit, idx);
+    checkedIndex(f.vnet, 0, num_vnets, "flit vnet", unit, idx);
+    checkedIndex(f.vc_class, 0, params_.vc_classes, "flit VC class",
+                 unit, idx);
+    checkedIndex(f.last_dim, 0, 3, "flit dimension", unit, idx);
+    // A flit on a link carries the VC it will be written into.
+    if (on_link)
+        checkedIndex(f.vc, 0, V_, "flit VC", unit, idx);
+    if (!f.pkt)
+        panic("soa restore: ", unit, " ", idx, ": flit without a packet");
+    return f;
+}
+
+void
+SoaCycleFabric::restoreRouter(int i, ArchiveReader &ar,
+                              const PacketTable &table)
+{
+    auto in = [i](auto v, std::int64_t lo, std::int64_t hi,
+                  const char *what) {
+        return checkedIndex(v, lo, hi, what, "router", i);
+    };
+    ar.expectSection("router");
+    for (int p = 0; p < P_; ++p) {
+        ip_sa_rr_[pi(i, p)] =
+            static_cast<std::int32_t>(in(ar.getI64(), 0, V_, "SA cursor"));
+        for (int v = 0; v < V_; ++v) {
+            std::size_t x = vi(i, p, v);
+            ivc_state_[x] =
+                in(ar.getU8(), vc_idle, vc_active + 1, "VC state");
+            // Idle and need-VA VCs hold no output VC (-1); an active
+            // one holds a real one.
+            std::int64_t lo = ivc_state_[x] == vc_active ? 0 : -1;
+            ivc_out_port_[x] = static_cast<std::int16_t>(
+                in(ar.getI64(), lo, P_, "VC output port"));
+            ivc_out_vc_[x] = static_cast<std::int16_t>(
+                in(ar.getI64(), lo, V_, "VC output VC"));
+            ivc_out_class_[x] =
+                in(ar.getU8(), 0, params_.vc_classes, "VC output class");
+            ivc_out_dim_[x] = in(ar.getU8(), 0, 3, "VC output dimension");
+            std::uint64_t sz = in(ar.getU64(), 0, D_ + 1, "FIFO size");
+            fifo_head_[x] = 0;
+            fifo_size_[x] = static_cast<std::uint16_t>(sz);
+            for (std::uint64_t k = 0; k < sz; ++k)
+                fifo_[x * D_ + k] =
+                    restoreCheckedFlit(ar, table, "router", i, false);
+        }
+    }
+    for (int p = 0; p < P_; ++p) {
+        op_sa_rr_[pi(i, p)] = static_cast<std::int32_t>(
+            in(ar.getI64(), 0, P_, "SA output cursor"));
+        in(ar.getU64(), C_, C_ + 1, "VA cursor count");
+        for (int c = 0; c < C_; ++c)
+            op_va_rr_[pi(i, p) * C_ + c] =
+                static_cast<std::int32_t>(in(ar.getI64(), 0, W_,
+                                             "VA cursor"));
+        VcMask free = 0;
+        for (int v = 0; v < V_; ++v) {
+            if (!ar.getBool())
+                free |= bit(v);
+            ovc_credits_[vi(i, p, v)] =
+                static_cast<std::int32_t>(ar.getI64());
+        }
+        ovc_free_[pi(i, p)] = free;
+    }
+    ar.endSection();
+}
+
+void
+SoaCycleFabric::restoreNic(int i, ArchiveReader &ar,
+                           const PacketTable &table)
+{
+    auto in = [i](auto v, std::int64_t lo, std::int64_t hi,
+                  const char *what) {
+        return static_cast<std::int32_t>(
+            checkedIndex(v, lo, hi, what, "nic", i));
+    };
+    ar.expectSection("nic");
+    for (int v = 0; v < num_vnets; ++v) {
+        std::size_t x = static_cast<std::size_t>(i) * num_vnets + v;
+        nicq_cur_vc_[x] = in(ar.getI64(), -1, V_, "current VC");
+        FlitRing &q = nicq_[x];
+        q.head = 0;
+        q.size = 0;
+        std::uint64_t sz = ar.getU64();
+        for (std::uint64_t k = 0; k < sz; ++k)
+            q.push(restoreCheckedFlit(ar, table, "nic", i, false));
+    }
+    for (int v = 0; v < V_; ++v) {
+        std::size_t x = static_cast<std::size_t>(i) * V_ + v;
+        inj_busy_[x] = ar.getBool() ? 1 : 0;
+        inj_credits_[x] = static_cast<std::int32_t>(ar.getI64());
+    }
+    for (int v = 0; v < num_vnets; ++v)
+        nic_va_rr_[static_cast<std::size_t>(i) * num_vnets + v] =
+            in(ar.getI64(), 0, W_, "VA cursor");
+    nic_rr_vnet_[i] = in(ar.getI64(), 0, num_vnets, "vnet cursor");
+    nic_queued_[i] = ar.getU64();
+    rx_[i].clear();
+    std::uint64_t n_rx = ar.getU64();
+    for (std::uint64_t k = 0; k < n_rx; ++k) {
+        PacketId id = ar.getU64();
+        rx_[i][id] = ar.getU32();
+    }
+    completed_[i].clear();
+    ar.endSection();
+}
+
 void
 SoaCycleFabric::restore(ArchiveReader &ar)
 {
+    // Every index read back is range-checked: the allocators index
+    // flat arrays and shift request words by these values, so a
+    // corrupt image must end in a typed error, not in memory outside
+    // the arrays or an undefined shift.
     PacketTable table = restorePacketTable(ar);
-
-    for (int i = 0; i < n_; ++i) {
-        ar.expectSection("router");
-        for (int p = 0; p < P_; ++p) {
-            ip_sa_rr_[pi(i, p)] =
-                static_cast<std::int32_t>(ar.getI64());
-            for (int v = 0; v < V_; ++v) {
-                std::size_t x = vi(i, p, v);
-                ivc_state_[x] = ar.getU8();
-                ivc_out_port_[x] =
-                    static_cast<std::int16_t>(ar.getI64());
-                ivc_out_vc_[x] =
-                    static_cast<std::int16_t>(ar.getI64());
-                ivc_out_class_[x] = ar.getU8();
-                ivc_out_dim_[x] = ar.getU8();
-                std::uint64_t sz = ar.getU64();
-                if (sz > static_cast<std::uint64_t>(D_))
-                    panic("soa restore: fifo larger than "
-                          "buffer_depth");
-                fifo_head_[x] = 0;
-                fifo_size_[x] = static_cast<std::uint16_t>(sz);
-                for (std::uint64_t k = 0; k < sz; ++k)
-                    fifo_[x * D_ + k] = restoreFlit(ar, table);
-            }
-        }
-        for (int p = 0; p < P_; ++p) {
-            op_sa_rr_[pi(i, p)] =
-                static_cast<std::int32_t>(ar.getI64());
-            std::uint64_t n_rr = ar.getU64();
-            if (n_rr != static_cast<std::uint64_t>(C_))
-                panic("router ", i, ": VA arbiter shape mismatch");
-            for (int c = 0; c < C_; ++c)
-                op_va_rr_[pi(i, p) * C_ + c] =
-                    static_cast<std::int32_t>(ar.getI64());
-            for (int v = 0; v < V_; ++v) {
-                std::size_t x = vi(i, p, v);
-                ovc_busy_[x] = ar.getBool() ? 1 : 0;
-                ovc_credits_[x] =
-                    static_cast<std::int32_t>(ar.getI64());
-            }
-        }
-        ar.endSection();
+    for (const auto &[id, pkt] : table) {
+        if (pkt->src >= static_cast<NodeId>(n_) ||
+            pkt->dst >= static_cast<NodeId>(n_))
+            panic("soa restore: packet ", id, " names a node outside "
+                  "the ", n_, "-node network");
+        checkedIndex(static_cast<int>(pkt->cls), 0, num_vnets,
+                     "message class", "packet", id);
     }
 
-    for (int i = 0; i < n_; ++i) {
-        ar.expectSection("nic");
-        for (int v = 0; v < num_vnets; ++v) {
-            std::size_t x = static_cast<std::size_t>(i) * num_vnets + v;
-            nicq_cur_vc_[x] = static_cast<std::int32_t>(ar.getI64());
-            FlitRing &q = nicq_[x];
-            q.head = 0;
-            q.size = 0;
-            std::uint64_t sz = ar.getU64();
-            for (std::uint64_t k = 0; k < sz; ++k)
-                q.push(restoreFlit(ar, table));
-        }
-        for (int v = 0; v < V_; ++v) {
-            std::size_t x = static_cast<std::size_t>(i) * V_ + v;
-            inj_busy_[x] = ar.getBool() ? 1 : 0;
-            inj_credits_[x] = static_cast<std::int32_t>(ar.getI64());
-        }
-        for (int v = 0; v < num_vnets; ++v)
-            nic_va_rr_[static_cast<std::size_t>(i) * num_vnets + v] =
-                static_cast<std::int32_t>(ar.getI64());
-        nic_rr_vnet_[i] = static_cast<std::int32_t>(ar.getI64());
-        nic_queued_[i] = ar.getU64();
-        rx_[i].clear();
-        std::uint64_t n_rx = ar.getU64();
-        for (std::uint64_t k = 0; k < n_rx; ++k) {
-            PacketId id = ar.getU64();
-            rx_[i][id] = ar.getU32();
-        }
-        completed_[i].clear();
-        ar.endSection();
-    }
+    for (int i = 0; i < n_; ++i)
+        restoreRouter(i, ar, table);
+    for (int i = 0; i < n_; ++i)
+        restoreNic(i, ar, table);
 
-    for (SoaLink &l : links_) {
+    for (std::size_t id = 0; id < links_.size(); ++id) {
+        SoaLink &l = links_[id];
         ar.expectSection("link");
         l.fhead = 0;
         std::uint64_t nf = ar.getU64();
@@ -933,7 +1061,7 @@ SoaCycleFabric::restore(ArchiveReader &ar)
         l.fsize = static_cast<std::uint32_t>(nf);
         for (std::uint64_t k = 0; k < nf; ++k) {
             l.flits[k].cycle = ar.getU64();
-            l.flits[k].flit = restoreFlit(ar, table);
+            l.flits[k].flit = restoreCheckedFlit(ar, table, "link", id, true);
         }
         l.chead = 0;
         std::uint64_t nc = ar.getU64();
@@ -942,17 +1070,36 @@ SoaCycleFabric::restore(ArchiveReader &ar)
         l.csize = static_cast<std::uint32_t>(nc);
         for (std::uint64_t k = 0; k < nc; ++k) {
             l.credits[k].cycle = ar.getU64();
-            l.credits[k].vc = static_cast<std::int16_t>(ar.getI64());
+            l.credits[k].vc = static_cast<std::int16_t>(
+                checkedIndex(ar.getI64(), 0, V_, "credit VC", "link", id));
         }
         ar.endSection();
     }
 
-    rebuildOccupancy();
+    rebuildDerivedState();
 }
 
 void
-SoaCycleFabric::rebuildOccupancy()
+SoaCycleFabric::rebuildDerivedState()
 {
+    for (int i = 0; i < n_; ++i) {
+        need_va_ports_[i] = 0;
+        for (int p = 0; p < P_; ++p) {
+            VcMask cand = 0, need = 0;
+            for (int v = 0; v < V_; ++v) {
+                std::size_t x = vi(i, p, v);
+                if (ivc_state_[x] == vc_need_va)
+                    need |= bit(v);
+                else if (ivc_state_[x] == vc_active && fifo_size_[x])
+                    cand |= bit(v);
+            }
+            sa_cand_[pi(i, p)] = cand;
+            need_va_[pi(i, p)] = need;
+            if (need)
+                need_va_ports_[i] |= 1u << p;
+        }
+    }
+
     std::fill(compute_occ_.begin(), compute_occ_.end(), 0);
     std::fill(commit_occ_.begin(), commit_occ_.end(), 0);
     for (int i = 0; i < n_; ++i) {
@@ -976,11 +1123,7 @@ SoaCycleFabric::rebuildOccupancy()
     }
     compute_list_.clear();
     commit_list_.clear();
-    std::fill(d_flits_routed_.begin(), d_flits_routed_.end(), 0);
-    std::fill(d_buffer_writes_.begin(), d_buffer_writes_.end(), 0);
-    std::fill(d_link_traversals_.begin(), d_link_traversals_.end(), 0);
-    std::fill(d_flits_sent_.begin(), d_flits_sent_.end(), 0);
-    std::fill(d_flits_received_.begin(), d_flits_received_.end(), 0);
+    std::fill(deltas_.begin(), deltas_.end(), NodeDeltas{});
 }
 
 } // namespace kernel

@@ -11,6 +11,13 @@
  * with no buffered flits, queued packets or in-flight link traffic
  * are provably no-ops and are skipped entirely.
  *
+ * VC and switch allocation are bitmask allocators: per-port words of
+ * SA candidates, VA requesters and free output VCs, with every
+ * round-robin arbiter resolved as "first set bit at or after the
+ * cursor, else the lowest set bit" (std::countr_zero). That is the
+ * exact winner the object backend's modular scan finds, so grant
+ * order — and with it every result — is unchanged.
+ *
  * Determinism: each pass executes the exact same per-node operation
  * sequence as the object backend (same arbiter rotations, same
  * iteration order inside a node), and phases only touch
@@ -29,7 +36,9 @@
 #ifndef RASIM_NOC_KERNEL_SOA_CYCLE_HH
 #define RASIM_NOC_KERNEL_SOA_CYCLE_HH
 
+#include <cstdint>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "noc/kernel/active_scan.hh"
@@ -70,7 +79,23 @@ class SoaCycleFabric : public CycleFabric
 
     cpuid::SimdLevel simdLevel() const { return simd_; }
 
+    /** Widest router the kernel's fixed-width state holds: ports per
+     *  router (occupancy-block layout), VCs per port (one request
+     *  word) and flits per VC buffer (16-bit FIFO cursors). */
+    static constexpr int max_ports = 5;
+    static constexpr int max_vcs = 64;
+    static constexpr int max_buffer_depth = 65535;
+
+    /** fatal() (SimError(Config) under a ThrowOnError guard) unless a
+     *  router of this geometry fits the limits above; the message
+     *  names network.kernel=object, which has none of them. */
+    static void checkGeometry(const std::string &topology, int ports,
+                              int total_vcs, int buffer_depth);
+
   private:
+    /** One bit per VC of a port (bit v = VC v). */
+    using VcMask = std::uint64_t;
+
     /** Numeric values match Router::VcState for archive bytes. */
     static constexpr std::uint8_t vc_idle = 0;
     static constexpr std::uint8_t vc_need_va = 1;
@@ -83,11 +108,9 @@ class SoaCycleFabric : public CycleFabric
     static constexpr std::size_t compute_words = 8;
     /** Commit-block word layout (16 u32 per node): [0,P) in-port
      *  flits, [5,5+P) out-port credits, 10 ejection-link flits. */
-    static constexpr int occ_out_credit_base = 5;
-    static constexpr int occ_ej_flits = 10;
+    static constexpr int occ_out_credit_base = max_ports;
+    static constexpr int occ_ej_flits = 2 * max_ports;
     static constexpr std::size_t commit_words = 16;
-
-    static constexpr int max_ports = 16;
 
     struct TimedFlit
     {
@@ -180,6 +203,7 @@ class SoaCycleFabric : public CycleFabric
     {
         return pi(node, port) * V_ + vc;
     }
+    static VcMask bit(int vc) { return VcMask{1} << vc; }
 
     // Link pipelines (occupancy maintained inside).
     void pushFlit(SoaLink &l, Cycle now, Flit f);
@@ -198,7 +222,8 @@ class SoaCycleFabric : public CycleFabric
 
     // Per-node stages (transliterations of Nic/Router per-cycle code).
     void nicCompute(int i, Cycle now);
-    void routerComputeVa(int i, Cycle now);
+    void routerComputeVa(int i);
+    int saNominee(int i, int p, Cycle now) const;
     void routerComputeSa(int i, Cycle now);
     void routerCommit(int i, Cycle now);
     void nicCommit(int i, Cycle now);
@@ -211,13 +236,23 @@ class SoaCycleFabric : public CycleFabric
     static std::uint8_t dimOf(int port);
     int allocateOutVc(int i, int out_port, int vnet, int cls);
 
+    void setNeedVa(int i, int p, int v);
+    Flit restoreCheckedFlit(ArchiveReader &ar, const PacketTable &table,
+                            const char *unit, std::size_t idx,
+                            bool on_link) const;
+    void restoreRouter(int i, ArchiveReader &ar,
+                       const PacketTable &table);
+    void restoreNic(int i, ArchiveReader &ar, const PacketTable &table);
     void flushNodeStats(int i);
-    void rebuildOccupancy();
+    /** Request words and occupancy blocks from the restored state. */
+    void rebuildDerivedState();
 
     const NocParams &params_;
     const Topology &topo_;
     const RoutingAlgorithm &routing_;
     int n_ = 0, P_ = 0, V_ = 0, D_ = 0, C_ = 0;
+    int W_ = 0;            ///< VCs per (vnet, class) pool
+    VcMask pool_mask_ = 0; ///< low W_ bits
     cpuid::SimdLevel simd_ = cpuid::SimdLevel::Scalar;
     ActiveScanFn scan_ = nullptr;
 
@@ -231,12 +266,20 @@ class SoaCycleFabric : public CycleFabric
     std::vector<Flit> fifo_;
     std::vector<std::uint16_t> fifo_head_;
     std::vector<std::uint16_t> fifo_size_;
-    // Per-port arbiters [n*P], per-pool VA pointers [n*P*C].
+    // Allocator request words, kept in step with ivc_state_ and the
+    // FIFO sizes by every stage that changes them. [n*P]: VCs that
+    // are active with a non-empty FIFO (SA candidates) and VCs in
+    // vc_need_va; [n]: input ports with a non-zero need_va_ word.
+    std::vector<VcMask> sa_cand_;
+    std::vector<VcMask> need_va_;
+    std::vector<std::uint32_t> need_va_ports_;
+    // Per-port arbiter cursors [n*P], per-pool VA cursors [n*P*C].
     std::vector<std::int32_t> ip_sa_rr_;
     std::vector<std::int32_t> op_sa_rr_;
     std::vector<std::int32_t> op_va_rr_;
-    // Output VC state [n*P*V].
-    std::vector<std::uint8_t> ovc_busy_;
+    // Output VC state: free (not held by a packet) VCs per output
+    // port [n*P], credits per output VC [n*P*V].
+    std::vector<VcMask> ovc_free_;
     std::vector<std::int32_t> ovc_credits_;
     // Wiring: link index per (node, port), -1 when unconnected [n*P].
     std::vector<std::int32_t> in_link_;
@@ -265,18 +308,23 @@ class SoaCycleFabric : public CycleFabric
     // past its inline buffer and costs a heap allocation per phase.
     // Set before the engine call, read-only inside the phase.
     Cycle phase_now_ = 0;
+    int phase_va_start_ = 0; ///< now mod P: VA's first input port
     const std::vector<char> *phase_stalled_ = nullptr;
 
     // Per-node route scratch (reserved; no steady-state allocation).
     std::vector<std::vector<int>> route_scratch_;
 
-    // Per-cycle stat deltas, flushed sequentially after commit so
+    // Per-cycle stat deltas [n], flushed sequentially after commit so
     // checkpoint-visible Scalars match the object backend exactly.
-    std::vector<std::uint64_t> d_flits_routed_;
-    std::vector<std::uint64_t> d_buffer_writes_;
-    std::vector<std::uint64_t> d_link_traversals_;
-    std::vector<std::uint64_t> d_flits_sent_;
-    std::vector<std::uint64_t> d_flits_received_;
+    struct NodeDeltas
+    {
+        std::uint64_t flits_routed = 0;
+        std::uint64_t buffer_writes = 0;
+        std::uint64_t link_traversals = 0;
+        std::uint64_t flits_sent = 0;
+        std::uint64_t flits_received = 0;
+    };
+    std::vector<NodeDeltas> deltas_;
 
     std::vector<std::unique_ptr<RouterStats>> router_stats_;
     std::vector<std::unique_ptr<NicStats>> nic_stats_;

@@ -74,7 +74,7 @@ SoaDeflectFabric::SoaDeflectFabric(const NocParams &params,
     if (P_ > static_cast<int>(occ_words))
         fatal("network.kernel=soa supports at most ", occ_words,
               " ports per deflection router; topology '", topo_.name(),
-              "' has ", P_);
+              "' has ", P_, "; use network.kernel=object");
 
     simd_ = cpuid::resolveSimdLevel(params_.simd);
     scan_ = activeScanFor(simd_);

@@ -25,7 +25,7 @@ NocParams::fromConfig(const Config &cfg)
         static_cast<int>(cfg.getUInt("noc.pipeline_stages", 2));
     p.flit_bytes =
         static_cast<std::uint32_t>(cfg.getUInt("noc.flit_bytes", 16));
-    p.kernel = cfg.getString("network.kernel", "object");
+    p.kernel = cfg.getString("network.kernel", "soa");
     p.simd = cfg.getString("kernel.simd", "auto");
     p.validate();
     return p;

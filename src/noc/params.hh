@@ -46,11 +46,12 @@ struct NocParams
     /** Link width: bytes carried per flit. */
     std::uint32_t flit_bytes = 16;
     /**
-     * Compute backend for the detailed models: "object" steps the
-     * per-object Router/Nic/Link reference path, "soa" runs the
-     * batched structure-of-arrays kernel (bit-identical results).
+     * Compute backend for the detailed models: "soa" runs the batched
+     * structure-of-arrays kernel, "object" steps the per-object
+     * Router/Nic/Link reference path the differentials compare it
+     * against (bit-identical results).
      */
-    std::string kernel = "object";
+    std::string kernel = "soa";
     /** SIMD policy for the SoA kernel: "auto", "scalar" or "avx2". */
     std::string simd = "auto";
 

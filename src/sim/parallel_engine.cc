@@ -159,8 +159,11 @@ ParallelEngine::runPhase(std::size_t n,
     }
     if (pending_.load(std::memory_order_acquire) != 0) {
         std::unique_lock<std::mutex> lock(mutex_);
+        // Acquire, not relaxed: the last worker may decrement between
+        // the check above and this lock, before it takes the mutex, so
+        // the mutex alone does not order its phase writes before ours.
         done_cv_.wait(lock, [this] {
-            return pending_.load(std::memory_order_relaxed) == 0;
+            return pending_.load(std::memory_order_acquire) == 0;
         });
     }
 
