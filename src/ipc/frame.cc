@@ -16,10 +16,6 @@ toString(MsgType type)
     switch (type) {
       case MsgType::Hello:
         return "Hello";
-      case MsgType::InjectBatch:
-        return "InjectBatch";
-      case MsgType::Advance:
-        return "Advance";
       case MsgType::TableGet:
         return "TableGet";
       case MsgType::StatsGet:
@@ -36,8 +32,6 @@ toString(MsgType type)
         return "Ping";
       case MsgType::HelloAck:
         return "HelloAck";
-      case MsgType::DeliveryBatch:
-        return "DeliveryBatch";
       case MsgType::TableData:
         return "TableData";
       case MsgType::StatsData:
@@ -61,8 +55,6 @@ knownMsgType(std::uint32_t raw)
 {
     switch (static_cast<MsgType>(raw)) {
       case MsgType::Hello:
-      case MsgType::InjectBatch:
-      case MsgType::Advance:
       case MsgType::TableGet:
       case MsgType::StatsGet:
       case MsgType::CkptSave:
@@ -71,7 +63,6 @@ knownMsgType(std::uint32_t raw)
       case MsgType::Step:
       case MsgType::Ping:
       case MsgType::HelloAck:
-      case MsgType::DeliveryBatch:
       case MsgType::TableData:
       case MsgType::StatsData:
       case MsgType::CkptData:
@@ -82,6 +73,13 @@ knownMsgType(std::uint32_t raw)
         return true;
     }
     return false;
+}
+
+UnknownMessageType::UnknownMessageType(std::uint32_t raw)
+    : SimError(ErrorKind::Transport,
+               "unknown message type " + std::to_string(raw) +
+                   " (peer speaks a different protocol?)")
+{
 }
 
 void
@@ -120,6 +118,9 @@ sealFrame(ArchiveWriter &&aw)
     return frame;
 }
 
+namespace
+{
+
 void
 sendFrameBytes(ByteChannel &ch, const std::string &frame)
 {
@@ -131,6 +132,8 @@ sendFrameBytes(const Fd &fd, const std::string &frame)
 {
     sendAll(fd, frame.data(), frame.size());
 }
+
+} // namespace
 
 void
 sendMessage(ByteChannel &ch, ArchiveWriter &&aw)
@@ -205,12 +208,8 @@ recvMessage(ByteChannel &ch, double timeout_ms,
                        std::string("malformed message payload: ") +
                            err.what());
     }
-    if (!knownMsgType(raw_type)) {
-        throw SimError(ErrorKind::Transport,
-                       "unknown message type " +
-                           std::to_string(raw_type) +
-                           " (peer speaks a newer protocol?)");
-    }
+    if (!knownMsgType(raw_type))
+        throw UnknownMessageType(raw_type);
     msg.type = static_cast<MsgType>(raw_type);
     return msg;
 }

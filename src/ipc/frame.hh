@@ -21,6 +21,9 @@
  *   CRC          archive CRC32 mismatch (bit rot / truncation)
  *   malformed    CRC-valid payload whose structure is not a message
  *   unknown type CRC-valid message of a type this build cannot speak
+ *                (UnknownMessageType: the frame was read whole, so
+ *                the stream is still in step and a server can refuse
+ *                the request and keep serving)
  */
 
 #ifndef RASIM_IPC_FRAME_HH
@@ -34,6 +37,7 @@
 
 #include "ipc/socket.hh"
 #include "sim/serialize.hh"
+#include "sim/sim_error.hh"
 
 namespace rasim
 {
@@ -47,29 +51,28 @@ constexpr char frame_magic[4] = {'R', 'N', 'O', 'C'};
  *  length prefix masquerading as a multi-gigabyte frame). */
 constexpr std::uint64_t max_frame_bytes = 64ull << 20;
 
-/** Message types of the quantum-RPC protocol. */
+/** Message types of the quantum-RPC protocol. Codes 2, 3 and 103
+ *  belonged to the v1 InjectBatch/Advance/DeliveryBatch exchange and
+ *  are never reused. */
 enum class MsgType : std::uint32_t
 {
     // client -> server
     Hello = 1,       ///< open a session: network config + start tick
-    InjectBatch = 2, ///< packets buffered over the last host quantum
-    Advance = 3,     ///< advance-to-tick; replied with DeliveryBatch
     TableGet = 4,    ///< read back the server's tuned LatencyTable
     StatsGet = 5,    ///< pull the hosted network's statistics tree
     CkptSave = 6,    ///< take a paired server-side checkpoint
     CkptLoad = 7,    ///< push a checkpoint image into the session
     Bye = 8,         ///< close the session cleanly
-    Step = 9,        ///< coalesced inject batch + advance (pipelined)
+    Step = 9,        ///< inject batch + advance target, one quantum
     Ping = 10,       ///< liveness probe; legal before Hello too
 
     // server -> client
     HelloAck = 101,
-    DeliveryBatch = 103, ///< deliveries + time/idle/accounting
     TableData = 104,
     StatsData = 105,
     CkptData = 106,
     CkptLoadAck = 107,
-    StepReply = 108, ///< DeliveryBatch payload + speculation flags
+    StepReply = 108, ///< deliveries + time/idle/accounting + flags
     Pong = 109,      ///< Ping echo: nonce + session/load state
     ErrorReply = 199, ///< request failed server-side: kind + message
 };
@@ -79,6 +82,14 @@ const char *toString(MsgType type);
 
 /** True when @p raw is a message type this build understands. */
 bool knownMsgType(std::uint32_t raw);
+
+/** recvMessage's refusal of a whole, CRC-valid frame whose type this
+ *  build does not speak (Transport kind). */
+class UnknownMessageType : public SimError
+{
+  public:
+    explicit UnknownMessageType(std::uint32_t raw);
+};
 
 /**
  * Start a message: an ArchiveWriter with the "msg" section opened and
@@ -95,17 +106,10 @@ void sendMessage(const Fd &fd, ArchiveWriter &&aw);
 /** Same, over a ByteChannel (plain or fault-injecting). */
 void sendMessage(ByteChannel &ch, ArchiveWriter &&aw);
 
-/**
- * Seal @p aw (from beginMessage) into complete wire bytes — frame
- * header plus payload — without sending. Lets the server pre-encode a
- * speculative reply once and transmit it later with sendFrameBytes()
- * at the cost of a single write.
- */
+/** Seal @p aw (from beginMessage) into complete wire bytes — frame
+ *  header plus payload — without sending. sendMessage() is this plus
+ *  one write; tests use it to forge frames. */
 std::string sealFrame(ArchiveWriter &&aw);
-
-/** Transmit bytes produced by sealFrame(). */
-void sendFrameBytes(const Fd &fd, const std::string &frame);
-void sendFrameBytes(ByteChannel &ch, const std::string &frame);
 
 /**
  * A received message: the reader is positioned after the type field,
@@ -134,6 +138,7 @@ struct Message
  *         the session); a Message otherwise.
  * @throws SimError{Transport} for short reads, torn frames, bad frame
  *         magic, oversized payloads, archive version or CRC failures;
+ *         UnknownMessageType for a type this build does not speak;
  *         SimError{Timeout} on deadline expiry or abort.
  */
 std::optional<Message> recvMessage(const Fd &fd, double timeout_ms,

@@ -9,7 +9,7 @@
  * Usage: rasim-nocd [address] [--once] [--serve-limit N]
  *                   [--max-sessions N] [--max-active N]
  *                   [--quota-frames N] [--max-batch-packets N]
- *                   [--no-speculate] [--io-timeout-ms MS]
+ *                   [--io-timeout-ms MS]
  *                   [--drain-timeout MS] [--session-timeout-ms MS]
  *                   [key=value ...]
  *
@@ -18,7 +18,6 @@
  *   --max-active             sessions computing at once (0 = auto)
  *   --quota-frames           consecutive grants before a forced yield
  *   --max-batch-packets      per-batch quota (refused as backpressure)
- *   --no-speculate           disable server-side speculation
  *   --drain-timeout          SIGTERM grace period for live sessions
  *   --session-timeout-ms     watchdog: reap frame-less sessions
  *
@@ -73,7 +72,7 @@ usage(const char *argv0)
                  "usage: %s [address] [--once] [--serve-limit N] "
                  "[--max-sessions N] [--max-active N] "
                  "[--quota-frames N] [--max-batch-packets N] "
-                 "[--no-speculate] [--io-timeout-ms MS] "
+                 "[--io-timeout-ms MS] "
                  "[--drain-timeout MS] [--session-timeout-ms MS] "
                  "[key=value ...]\n"
                  "  address    unix:/path, tcp:host:port, or a bare "
@@ -125,8 +124,6 @@ main(int argc, char **argv)
                    i + 1 < argc) {
             opts.max_batch_packets =
                 static_cast<std::uint64_t>(std::atoll(argv[++i]));
-        } else if (std::strcmp(arg, "--no-speculate") == 0) {
-            opts.speculate = false;
         } else if (std::strcmp(arg, "--io-timeout-ms") == 0 &&
                    i + 1 < argc) {
             opts.io_timeout_ms = std::atof(argv[++i]);

@@ -49,6 +49,14 @@ checkCount(std::uint64_t count, std::uint64_t min_bytes_each,
     }
 }
 
+void
+encodePackets(ArchiveWriter &aw, const std::vector<noc::PacketPtr> &pkts)
+{
+    aw.putU64(pkts.size());
+    for (const auto &pkt : pkts)
+        noc::savePacket(aw, *pkt);
+}
+
 std::vector<noc::PacketPtr>
 decodePacketsRaw(ArchiveReader &ar)
 {
@@ -60,6 +68,17 @@ decodePacketsRaw(ArchiveReader &ar)
     for (std::uint64_t i = 0; i < count; ++i)
         pkts.push_back(noc::restorePacket(ar));
     return pkts;
+}
+
+void
+encodeAdvanceReply(ArchiveWriter &aw, const AdvanceReply &rep)
+{
+    aw.putU64(rep.cur_time);
+    aw.putBool(rep.idle);
+    aw.putU64(rep.injected);
+    aw.putU64(rep.delivered);
+    aw.putU64(rep.in_flight);
+    encodePackets(aw, rep.deliveries);
 }
 
 AdvanceReply
@@ -148,55 +167,9 @@ decodeHelloReply(ArchiveReader &ar)
 }
 
 void
-encodePackets(ArchiveWriter &aw, const std::vector<noc::PacketPtr> &pkts)
-{
-    aw.putU64(pkts.size());
-    for (const auto &pkt : pkts)
-        noc::savePacket(aw, *pkt);
-}
-
-std::vector<noc::PacketPtr>
-decodePackets(ArchiveReader &ar)
-{
-    return guardedDecode("packet batch",
-                         [&] { return decodePacketsRaw(ar); });
-}
-
-void
-encodeAdvance(ArchiveWriter &aw, Tick target)
-{
-    aw.putU64(target);
-}
-
-Tick
-decodeAdvance(ArchiveReader &ar)
-{
-    return guardedDecode("Advance", [&] { return ar.getU64(); });
-}
-
-void
-encodeAdvanceReply(ArchiveWriter &aw, const AdvanceReply &rep)
-{
-    aw.putU64(rep.cur_time);
-    aw.putBool(rep.idle);
-    aw.putU64(rep.injected);
-    aw.putU64(rep.delivered);
-    aw.putU64(rep.in_flight);
-    encodePackets(aw, rep.deliveries);
-}
-
-AdvanceReply
-decodeAdvanceReply(ArchiveReader &ar)
-{
-    return guardedDecode("DeliveryBatch",
-                         [&] { return decodeAdvanceReplyRaw(ar); });
-}
-
-void
 encodeStep(ArchiveWriter &aw, const StepRequest &req)
 {
     aw.putU64(req.target);
-    aw.putBool(req.speculate);
     aw.putBool(req.attest);
     encodePackets(aw, req.packets);
 }
@@ -207,7 +180,6 @@ decodeStep(ArchiveReader &ar)
     return guardedDecode("Step", [&] {
         StepRequest req;
         req.target = ar.getU64();
-        req.speculate = ar.getBool();
         req.attest = ar.getBool();
         req.packets = decodePacketsRaw(ar);
         return req;

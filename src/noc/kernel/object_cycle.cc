@@ -134,13 +134,17 @@ ObjectCycleFabric::save(ArchiveWriter &aw) const
 void
 ObjectCycleFabric::restore(ArchiveReader &ar)
 {
+    // Router, NIC and link restores range-check every index they read
+    // back, so a corrupt image is a typed error, not a stray access.
     PacketTable table = restorePacketTable(ar);
+    checkRestoredPackets(table, params_.numNodes(), "object");
     for (const auto &router : routers_)
         router->restore(ar, table);
     for (const auto &nic : nics_)
         nic->restore(ar, table);
-    for (const auto &link : links_)
-        link->restore(ar, table);
+    for (std::size_t i = 0; i < links_.size(); ++i)
+        links_[i]->restore(ar, table, params_.vc_classes,
+                           params_.totalVcs(), i);
 }
 
 } // namespace kernel

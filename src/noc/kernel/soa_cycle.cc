@@ -44,18 +44,15 @@ nextRr(int k, int n)
     return k + 1 == n ? 0 : k + 1;
 }
 
-/** Range check for a value read back from the archive section
- *  @p unit @p idx ("router 3"): panic() unless lo <= v < hi. */
+/** checkRestored() for the value @p v read back from the archive
+ *  section @p unit @p idx ("router 3"), returned as its own type. */
 template <typename T>
 T
 checkedIndex(T v, std::int64_t lo, std::int64_t hi, const char *what,
              const char *unit, std::size_t idx)
 {
-    if (static_cast<std::int64_t>(v) < lo ||
-        static_cast<std::int64_t>(v) >= hi)
-        panic("soa restore: ", unit, " ", idx, ": ", what, " ",
-              static_cast<std::int64_t>(v), " outside [", lo, ", ", hi,
-              ")");
+    checkRestored(static_cast<std::int64_t>(v), lo, hi, what, "soa", unit,
+                  idx);
     return v;
 }
 
@@ -915,26 +912,6 @@ SoaCycleFabric::save(ArchiveWriter &aw) const
     }
 }
 
-Flit
-SoaCycleFabric::restoreCheckedFlit(ArchiveReader &ar,
-                                   const PacketTable &table,
-                                   const char *unit, std::size_t idx,
-                                   bool on_link) const
-{
-    Flit f = restoreFlit(ar, table);
-    checkedIndex(static_cast<int>(f.type), 0, 4, "flit type", unit, idx);
-    checkedIndex(f.vnet, 0, num_vnets, "flit vnet", unit, idx);
-    checkedIndex(f.vc_class, 0, params_.vc_classes, "flit VC class",
-                 unit, idx);
-    checkedIndex(f.last_dim, 0, 3, "flit dimension", unit, idx);
-    // A flit on a link carries the VC it will be written into.
-    if (on_link)
-        checkedIndex(f.vc, 0, V_, "flit VC", unit, idx);
-    if (!f.pkt)
-        panic("soa restore: ", unit, " ", idx, ": flit without a packet");
-    return f;
-}
-
 void
 SoaCycleFabric::restoreRouter(int i, ArchiveReader &ar,
                               const PacketTable &table)
@@ -965,8 +942,8 @@ SoaCycleFabric::restoreRouter(int i, ArchiveReader &ar,
             fifo_head_[x] = 0;
             fifo_size_[x] = static_cast<std::uint16_t>(sz);
             for (std::uint64_t k = 0; k < sz; ++k)
-                fifo_[x * D_ + k] =
-                    restoreCheckedFlit(ar, table, "router", i, false);
+                fifo_[x * D_ + k] = restoreCheckedFlit(
+                    ar, table, params_.vc_classes, 0, "soa", "router", i);
         }
     }
     for (int p = 0; p < P_; ++p) {
@@ -1007,7 +984,8 @@ SoaCycleFabric::restoreNic(int i, ArchiveReader &ar,
         q.size = 0;
         std::uint64_t sz = ar.getU64();
         for (std::uint64_t k = 0; k < sz; ++k)
-            q.push(restoreCheckedFlit(ar, table, "nic", i, false));
+            q.push(restoreCheckedFlit(ar, table, params_.vc_classes, 0,
+                                      "soa", "nic", i));
     }
     for (int v = 0; v < V_; ++v) {
         std::size_t x = static_cast<std::size_t>(i) * V_ + v;
@@ -1037,14 +1015,7 @@ SoaCycleFabric::restore(ArchiveReader &ar)
     // corrupt image must end in a typed error, not in memory outside
     // the arrays or an undefined shift.
     PacketTable table = restorePacketTable(ar);
-    for (const auto &[id, pkt] : table) {
-        if (pkt->src >= static_cast<NodeId>(n_) ||
-            pkt->dst >= static_cast<NodeId>(n_))
-            panic("soa restore: packet ", id, " names a node outside "
-                  "the ", n_, "-node network");
-        checkedIndex(static_cast<int>(pkt->cls), 0, num_vnets,
-                     "message class", "packet", id);
-    }
+    checkRestoredPackets(table, n_, "soa");
 
     for (int i = 0; i < n_; ++i)
         restoreRouter(i, ar, table);
@@ -1061,7 +1032,8 @@ SoaCycleFabric::restore(ArchiveReader &ar)
         l.fsize = static_cast<std::uint32_t>(nf);
         for (std::uint64_t k = 0; k < nf; ++k) {
             l.flits[k].cycle = ar.getU64();
-            l.flits[k].flit = restoreCheckedFlit(ar, table, "link", id, true);
+            l.flits[k].flit = restoreCheckedFlit(
+                ar, table, params_.vc_classes, V_, "soa", "link", id);
         }
         l.chead = 0;
         std::uint64_t nc = ar.getU64();

@@ -237,9 +237,6 @@ class SoaCycleFabric : public CycleFabric
     int allocateOutVc(int i, int out_port, int vnet, int cls);
 
     void setNeedVa(int i, int p, int v);
-    Flit restoreCheckedFlit(ArchiveReader &ar, const PacketTable &table,
-                            const char *unit, std::size_t idx,
-                            bool on_link) const;
     void restoreRouter(int i, ArchiveReader &ar,
                        const PacketTable &table);
     void restoreNic(int i, ArchiveReader &ar, const PacketTable &table);

@@ -106,22 +106,30 @@ class Link
         aw.endSection();
     }
 
+    /** @p id names the link in errors; @p num_vcs bounds the VC of
+     *  every flit and credit read back. */
     void
-    restore(ArchiveReader &ar, const PacketTable &table)
+    restore(ArchiveReader &ar, const PacketTable &table, int vc_classes,
+            int num_vcs, std::size_t id)
     {
         ar.expectSection("link");
         flits_.clear();
         std::uint64_t n_flits = ar.getU64();
         for (std::uint64_t i = 0; i < n_flits; ++i) {
             Cycle cycle = ar.getU64();
-            flits_.emplace_back(cycle, restoreFlit(ar, table));
+            flits_.emplace_back(
+                cycle, restoreCheckedFlit(ar, table, vc_classes, num_vcs,
+                                          "object", "link", id));
         }
         credits_.clear();
         std::uint64_t n_credits = ar.getU64();
         for (std::uint64_t i = 0; i < n_credits; ++i) {
             Cycle cycle = ar.getU64();
             credits_.emplace_back(
-                cycle, static_cast<std::int16_t>(ar.getI64()));
+                cycle, static_cast<std::int16_t>(
+                           checkRestored(ar.getI64(), 0, num_vcs,
+                                         "credit VC", "object", "link",
+                                         id)));
         }
         ar.endSection();
     }

@@ -185,21 +185,27 @@ Nic::save(ArchiveWriter &aw) const
 void
 Nic::restore(ArchiveReader &ar, const PacketTable &table)
 {
+    auto in = [this](std::int64_t v, std::int64_t lo, std::int64_t hi,
+                     const char *what) {
+        return static_cast<int>(
+            checkRestored(v, lo, hi, what, "object", "nic", node_));
+    };
     ar.expectSection("nic");
     for (auto &q : queues_) {
-        q.cur_vc = static_cast<int>(ar.getI64());
+        q.cur_vc = in(ar.getI64(), -1, params_.totalVcs(), "current VC");
         q.fifo.clear();
         std::uint64_t n = ar.getU64();
         for (std::uint64_t i = 0; i < n; ++i)
-            q.fifo.push_back(restoreFlit(ar, table));
+            q.fifo.push_back(restoreCheckedFlit(
+                ar, table, params_.vc_classes, 0, "object", "nic", node_));
     }
     for (auto &vc : inj_vcs_) {
         vc.busy = ar.getBool();
         vc.credits = static_cast<int>(ar.getI64());
     }
     for (int &rr : va_rr_)
-        rr = static_cast<int>(ar.getI64());
-    rr_vnet_ = static_cast<int>(ar.getI64());
+        rr = in(ar.getI64(), 0, params_.vcs_per_vnet, "VA cursor");
+    rr_vnet_ = in(ar.getI64(), 0, num_vnets, "vnet cursor");
     queued_flits_ = ar.getU64();
 
     rx_flits_.clear();

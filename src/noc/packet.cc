@@ -2,6 +2,8 @@
 
 #include <sstream>
 
+#include "sim/logging.hh"
+
 namespace rasim
 {
 namespace noc
@@ -130,6 +132,52 @@ restoreFlit(ArchiveReader &ar, const PacketTable &table)
     if (ar.getBool())
         flit.pkt = table.at(id);
     return flit;
+}
+
+std::int64_t
+checkRestored(std::int64_t v, std::int64_t lo, std::int64_t hi,
+              const char *what, const char *kernel, const char *unit,
+              std::size_t idx)
+{
+    if (v < lo || v >= hi)
+        panic(kernel, " restore: ", unit, " ", idx, ": ", what, " ", v,
+              " outside [", lo, ", ", hi, ")");
+    return v;
+}
+
+void
+checkRestoredPackets(const PacketTable &table, int num_nodes,
+                     const char *kernel)
+{
+    for (const auto &[id, pkt] : table) {
+        if (pkt->src >= static_cast<NodeId>(num_nodes) ||
+            pkt->dst >= static_cast<NodeId>(num_nodes))
+            panic(kernel, " restore: packet ", id, " names a node "
+                  "outside the ", num_nodes, "-node network");
+        checkRestored(static_cast<int>(pkt->cls), 0, num_vnets,
+                      "message class", kernel, "packet", id);
+    }
+}
+
+Flit
+restoreCheckedFlit(ArchiveReader &ar, const PacketTable &table,
+                   int vc_classes, int link_vcs, const char *kernel,
+                   const char *unit, std::size_t idx)
+{
+    Flit f = restoreFlit(ar, table);
+    auto in = [&](std::int64_t v, std::int64_t hi, const char *what) {
+        checkRestored(v, 0, hi, what, kernel, unit, idx);
+    };
+    in(static_cast<int>(f.type), 4, "flit type");
+    in(f.vnet, num_vnets, "flit vnet");
+    in(f.vc_class, vc_classes, "flit VC class");
+    in(f.last_dim, 3, "flit dimension");
+    if (link_vcs > 0)
+        in(f.vc, link_vcs, "flit VC");
+    if (!f.pkt)
+        panic(kernel, " restore: ", unit, " ", idx,
+              ": flit without a packet");
+    return f;
 }
 
 } // namespace noc

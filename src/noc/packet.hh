@@ -8,6 +8,7 @@
 #ifndef RASIM_NOC_PACKET_HH
 #define RASIM_NOC_PACKET_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 
@@ -190,6 +191,32 @@ PacketTable restorePacketTable(ArchiveReader &ar);
 /** Checkpoint a flit; the owning packet is stored as an id. */
 void saveFlit(ArchiveWriter &aw, const Flit &flit);
 Flit restoreFlit(ArchiveReader &ar, const PacketTable &table);
+
+/** @name Restore-time range checks
+ * A kernel indexes its arrays with values read back from a
+ * checkpoint, so each one is checked first: a corrupt image ends in
+ * panic() (a typed SimError under ThrowOnError) that names the
+ * @p kernel, the @p unit and index @p idx the value belongs to and
+ * the field, never in memory outside the arrays. */
+/// @{
+/** @p v unless lo <= v < hi. */
+std::int64_t checkRestored(std::int64_t v, std::int64_t lo,
+                           std::int64_t hi, const char *what,
+                           const char *kernel, const char *unit,
+                           std::size_t idx);
+/** Every packet's nodes below @p num_nodes and class below
+ *  num_vnets. */
+void checkRestoredPackets(const PacketTable &table, int num_nodes,
+                          const char *kernel);
+/** restoreFlit() with the flit's type, vnet, VC class (below
+ *  @p vc_classes) and dimension checked, and a packet required. A
+ *  flit on a link carries the VC it will be written into: with
+ *  @p link_vcs > 0 that VC must lie below it. */
+Flit restoreCheckedFlit(ArchiveReader &ar, const PacketTable &table,
+                        int vc_classes, int link_vcs,
+                        const char *kernel, const char *unit,
+                        std::size_t idx);
+/// @}
 
 } // namespace noc
 } // namespace rasim

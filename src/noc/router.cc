@@ -354,28 +354,45 @@ Router::save(ArchiveWriter &aw) const
 void
 Router::restore(ArchiveReader &ar, const PacketTable &table)
 {
+    const int nports = topo_.numPorts();
+    const int nvcs = params_.totalVcs();
+    auto in = [this](std::int64_t v, std::int64_t lo, std::int64_t hi,
+                     const char *what) {
+        return static_cast<int>(
+            checkRestored(v, lo, hi, what, "object", "router", id_));
+    };
     ar.expectSection("router");
     for (auto &ip : inputs_) {
-        ip.sa_rr = static_cast<int>(ar.getI64());
+        ip.sa_rr = in(ar.getI64(), 0, nvcs, "SA cursor");
         for (auto &ivc : ip.vcs) {
-            ivc.state = static_cast<VcState>(ar.getU8());
-            ivc.out_port = static_cast<int>(ar.getI64());
-            ivc.out_vc = static_cast<int>(ar.getI64());
-            ivc.out_class = ar.getU8();
-            ivc.out_dim = ar.getU8();
+            ivc.state = static_cast<VcState>(
+                in(ar.getU8(), 0, 3, "VC state"));
+            // Idle and need-VA VCs hold no output VC (-1); an active
+            // one holds a real one.
+            int lo = ivc.state == VcState::Active ? 0 : -1;
+            ivc.out_port = in(ar.getI64(), lo, nports, "VC output port");
+            ivc.out_vc = in(ar.getI64(), lo, nvcs, "VC output VC");
+            ivc.out_class = static_cast<std::uint8_t>(in(
+                ar.getU8(), 0, params_.vc_classes, "VC output class"));
+            ivc.out_dim = static_cast<std::uint8_t>(
+                in(ar.getU8(), 0, 3, "VC output dimension"));
             ivc.fifo.clear();
             std::uint64_t n = ar.getU64();
+            in(static_cast<std::int64_t>(n), 0, params_.buffer_depth + 1,
+               "FIFO size");
             for (std::uint64_t i = 0; i < n; ++i)
-                ivc.fifo.push_back(restoreFlit(ar, table));
+                ivc.fifo.push_back(restoreCheckedFlit(
+                    ar, table, params_.vc_classes, 0, "object", "router",
+                    id_));
         }
     }
     for (auto &op : outputs_) {
-        op.sa_rr = static_cast<int>(ar.getI64());
+        op.sa_rr = in(ar.getI64(), 0, nports, "SA output cursor");
         std::uint64_t n_rr = ar.getU64();
         if (n_rr != op.va_rr.size())
             panic("router ", id_, ": VA arbiter shape mismatch");
         for (int &rr : op.va_rr)
-            rr = static_cast<int>(ar.getI64());
+            rr = in(ar.getI64(), 0, params_.vcs_per_vnet, "VA cursor");
         for (auto &ovc : op.vcs) {
             ovc.busy = ar.getBool();
             ovc.credits = static_cast<int>(ar.getI64());

@@ -81,6 +81,16 @@ struct Scenario
     std::string name;
 };
 
+/** gtest lists a parameter through PrintTo; without one it dumps the
+ *  struct's raw bytes, heap pointer and padding included, and the
+ *  ctest names discovered from that listing change from build to
+ *  build. */
+void
+PrintTo(const Scenario &s, std::ostream *os)
+{
+    *os << s.name;
+}
+
 FullSystemOptions
 scenarioOptions(const Scenario &s)
 {

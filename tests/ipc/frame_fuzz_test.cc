@@ -108,19 +108,9 @@ buildCorpus()
         add(std::move(aw));
     }
     {
-        ArchiveWriter aw = beginMessage(MsgType::InjectBatch);
-        encodePackets(aw, somePackets());
-        add(std::move(aw));
-    }
-    {
-        ArchiveWriter aw = beginMessage(MsgType::Advance);
-        encodeAdvance(aw, 8192);
-        add(std::move(aw));
-    }
-    {
         StepRequest req;
         req.target = 12288;
-        req.speculate = true;
+        req.attest = true;
         req.packets = somePackets();
         ArchiveWriter aw = beginMessage(MsgType::Step);
         encodeStep(aw, req);
@@ -150,11 +140,11 @@ buildCorpus()
         rep.injected = 3;
         rep.delivered = 3;
         rep.deliveries = somePackets();
-        ArchiveWriter aw = beginMessage(MsgType::DeliveryBatch);
-        encodeAdvanceReply(aw, rep);
+        ArchiveWriter aw = beginMessage(MsgType::StepReply);
+        encodeStepReply(aw, rep, step_flag_throttled);
         add(std::move(aw));
         ArchiveWriter aw2 = beginMessage(MsgType::StepReply);
-        encodeStepReply(aw2, rep, step_flag_spec_hit);
+        encodeStepReply(aw2, rep, step_flag_attested, 0x5eedull);
         add(std::move(aw2));
     }
     {
@@ -198,12 +188,6 @@ decodeAs(Message &msg, const abstractnet::LatencyTable &proto)
       case MsgType::Hello:
         decodeHello(msg.ar);
         break;
-      case MsgType::InjectBatch:
-        decodePackets(msg.ar);
-        break;
-      case MsgType::Advance:
-        decodeAdvance(msg.ar);
-        break;
       case MsgType::Step:
         decodeStep(msg.ar);
         break;
@@ -213,9 +197,6 @@ decodeAs(Message &msg, const abstractnet::LatencyTable &proto)
         break;
       case MsgType::HelloAck:
         decodeHelloReply(msg.ar);
-        break;
-      case MsgType::DeliveryBatch:
-        decodeAdvanceReply(msg.ar);
         break;
       case MsgType::StepReply: {
         std::uint8_t flags = 0;
@@ -384,10 +365,12 @@ TEST(FrameFuzz, SeededMutationsNeverCrashHangOrMisdecode)
 
 TEST(FrameFuzz, LyingTypeWithForeignBodyIsRefused)
 {
-    // CRC-valid frame claiming to be Hello but carrying an Advance
-    // body: the structural decoder must refuse it as Transport.
+    // CRC-valid frame claiming to be Hello but carrying a Step body:
+    // the structural decoder must refuse it as Transport.
+    StepRequest req;
+    req.target = 4096;
     ArchiveWriter aw = beginMessage(MsgType::Hello);
-    encodeAdvance(aw, 4096);
+    encodeStep(aw, req);
     std::string frame = sealFrame(std::move(aw));
 
     auto [w, r] = makePair();
@@ -423,7 +406,9 @@ TEST(FrameFuzz, ForgedPacketCountRefusedBeforeAllocation)
 {
     // A count no legal frame could carry must be refused up front —
     // not answered with a multi-gigabyte reserve (bad_alloc/OOM).
-    ArchiveWriter aw = beginMessage(MsgType::InjectBatch);
+    ArchiveWriter aw = beginMessage(MsgType::Step);
+    aw.putU64(4096);  // target
+    aw.putBool(false); // attest
     aw.putU64(std::uint64_t(1) << 40);
     std::string frame = sealFrame(std::move(aw));
 
@@ -431,7 +416,7 @@ TEST(FrameFuzz, ForgedPacketCountRefusedBeforeAllocation)
     sendAll(w, frame.data(), frame.size());
     auto msg = recvMessage(r, 1000.0);
     ASSERT_TRUE(msg.has_value());
-    EXPECT_SIM_ERROR(decodePackets(msg->ar), "implausible packet count");
+    EXPECT_SIM_ERROR(decodeStep(msg->ar), "implausible packet count");
 }
 
 TEST(FrameFuzz, ForgedStatRowCountRefusedBeforeAllocation)
@@ -453,8 +438,10 @@ TEST(FrameFuzz, TrailingBytesRefusedByDone)
     // A structurally valid body followed by bytes this build does not
     // understand: silent acceptance would desynchronise the peers, so
     // done() must refuse.
-    ArchiveWriter aw = beginMessage(MsgType::Advance);
-    encodeAdvance(aw, 4096);
+    StepRequest req;
+    req.target = 4096;
+    ArchiveWriter aw = beginMessage(MsgType::Step);
+    encodeStep(aw, req);
     aw.putU32(0xdead);
     std::string frame = sealFrame(std::move(aw));
 
@@ -462,7 +449,7 @@ TEST(FrameFuzz, TrailingBytesRefusedByDone)
     sendAll(w, frame.data(), frame.size());
     auto msg = recvMessage(r, 1000.0);
     ASSERT_TRUE(msg.has_value());
-    EXPECT_EQ(decodeAdvance(msg->ar), 4096u);
+    EXPECT_EQ(decodeStep(msg->ar).target, 4096u);
     EXPECT_SIM_ERROR(msg->done(), "malformed message payload");
 }
 

@@ -9,8 +9,6 @@
 
 #include <unistd.h>
 
-#include <chrono>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <utility>
@@ -79,26 +77,12 @@ class ServerFixture : public ::testing::Test
         return hr;
     }
 
+    /** One quantum exchange: inject @p pkts, advance to @p target. */
     AdvanceReply
-    advance(const Fd &fd, Tick target)
-    {
-        ArchiveWriter aw = beginMessage(MsgType::Advance);
-        encodeAdvance(aw, target);
-        Message rep = call(fd, std::move(aw));
-        EXPECT_EQ(rep.type, MsgType::DeliveryBatch);
-        AdvanceReply ar = decodeAdvanceReply(rep.ar);
-        rep.done();
-        return ar;
-    }
-
-    /** Coalesced v2 quantum exchange; returns the reply + flag bits. */
-    std::pair<AdvanceReply, std::uint8_t>
-    step(const Fd &fd, Tick target, bool speculate,
-         std::vector<noc::PacketPtr> pkts = {})
+    step(const Fd &fd, Tick target, std::vector<noc::PacketPtr> pkts = {})
     {
         StepRequest req;
         req.target = target;
-        req.speculate = speculate;
         req.packets = std::move(pkts);
         ArchiveWriter aw = beginMessage(MsgType::Step);
         encodeStep(aw, req);
@@ -107,17 +91,22 @@ class ServerFixture : public ::testing::Test
         std::uint8_t flags = 0;
         AdvanceReply ar = decodeStepReply(rep.ar, flags);
         rep.done();
-        return {ar, flags};
+        return ar;
     }
 
-    std::vector<StatRow>
-    statsRows(const Fd &fd)
+    /** Expect @p rep to be an ErrorReply of @p kind naming @p what. */
+    static void
+    expectError(Message &rep, ErrorKind kind, const std::string &what)
     {
-        Message rep = call(fd, beginMessage(MsgType::StatsGet));
-        EXPECT_EQ(rep.type, MsgType::StatsData);
-        std::vector<StatRow> rows = decodeStatsReply(rep.ar);
-        rep.done();
-        return rows;
+        ASSERT_EQ(rep.type, MsgType::ErrorReply);
+        try {
+            throwDecodedError(rep.ar);
+            FAIL() << "throwDecodedError returned";
+        } catch (const SimError &e) {
+            EXPECT_EQ(e.kind(), kind);
+            EXPECT_NE(std::string(e.what()).find(what), std::string::npos)
+                << e.what();
+        }
     }
 
     std::string addr_;
@@ -149,11 +138,8 @@ TEST_F(ServerFixture, InjectAdvanceDelivers)
         noc::makePacket(1, 0, 15, noc::MsgClass::Request, 8, 5));
     pkts.push_back(
         noc::makePacket(2, 3, 12, noc::MsgClass::Response, 72, 7));
-    ArchiveWriter aw = beginMessage(MsgType::InjectBatch);
-    encodePackets(aw, pkts);
-    sendMessage(fd, std::move(aw)); // deliberately unacknowledged
 
-    AdvanceReply rep = advance(fd, 5000);
+    AdvanceReply rep = step(fd, 5000, pkts);
     EXPECT_EQ(rep.cur_time, 5000u);
     EXPECT_TRUE(rep.idle);
     EXPECT_EQ(rep.injected, 2u);
@@ -167,18 +153,12 @@ TEST_F(ServerFixture, InjectAdvanceDelivers)
 TEST_F(ServerFixture, RequestBeforeHelloIsATypedError)
 {
     Fd fd = connect();
-    ArchiveWriter aw = beginMessage(MsgType::Advance);
-    encodeAdvance(aw, 100);
+    StepRequest req;
+    req.target = 100;
+    ArchiveWriter aw = beginMessage(MsgType::Step);
+    encodeStep(aw, req);
     Message rep = call(fd, std::move(aw));
-    ASSERT_EQ(rep.type, MsgType::ErrorReply);
-    try {
-        throwDecodedError(rep.ar);
-        FAIL() << "throwDecodedError returned";
-    } catch (const SimError &e) {
-        EXPECT_EQ(e.kind(), ErrorKind::Transport);
-        EXPECT_NE(std::string(e.what()).find("before Hello"),
-                  std::string::npos);
-    }
+    expectError(rep, ErrorKind::Transport, "before Hello");
 }
 
 TEST_F(ServerFixture, ProtocolVersionMismatchIsRejected)
@@ -189,15 +169,42 @@ TEST_F(ServerFixture, ProtocolVersionMismatchIsRejected)
     ArchiveWriter aw = beginMessage(MsgType::Hello);
     encodeHello(aw, req);
     Message rep = call(fd, std::move(aw));
-    ASSERT_EQ(rep.type, MsgType::ErrorReply);
-    try {
-        throwDecodedError(rep.ar);
-        FAIL() << "throwDecodedError returned";
-    } catch (const SimError &e) {
-        EXPECT_EQ(e.kind(), ErrorKind::Transport);
-        EXPECT_NE(std::string(e.what()).find("version mismatch"),
-                  std::string::npos);
+    expectError(rep, ErrorKind::Transport, "version mismatch");
+}
+
+TEST_F(ServerFixture, OlderClientProtocolIsRejected)
+{
+    // A client one revision behind (v4 still spoke the blocking
+    // exchange) is refused at Hello, before it can send one.
+    Fd fd = connect();
+    HelloRequest req;
+    req.proto = protocol_version - 1;
+    ArchiveWriter aw = beginMessage(MsgType::Hello);
+    encodeHello(aw, req);
+    Message rep = call(fd, std::move(aw));
+    expectError(rep, ErrorKind::Transport, "version mismatch");
+}
+
+TEST_F(ServerFixture, RetiredMessageTypesGetATypedErrorReply)
+{
+    Fd fd = connect();
+    HelloRequest req;
+    req.params.columns = 4;
+    req.params.rows = 4;
+    hello(fd, req);
+
+    // Codes 2 and 3 were the v1 InjectBatch and Advance requests. A
+    // whole frame of either is refused with a typed reply, and the
+    // session keeps serving.
+    for (std::uint32_t code : {2u, 3u}) {
+        ArchiveWriter aw = beginMessage(static_cast<MsgType>(code));
+        aw.putU64(100);
+        Message rep = call(fd, std::move(aw));
+        expectError(rep, ErrorKind::Transport,
+                    "unknown message type " + std::to_string(code));
     }
+    AdvanceReply rep = step(fd, 100);
+    EXPECT_EQ(rep.cur_time, 100u);
 }
 
 TEST_F(ServerFixture, UnknownModelIsRejected)
@@ -208,15 +215,7 @@ TEST_F(ServerFixture, UnknownModelIsRejected)
     ArchiveWriter aw = beginMessage(MsgType::Hello);
     encodeHello(aw, req);
     Message rep = call(fd, std::move(aw));
-    ASSERT_EQ(rep.type, MsgType::ErrorReply);
-    try {
-        throwDecodedError(rep.ar);
-        FAIL() << "throwDecodedError returned";
-    } catch (const SimError &e) {
-        EXPECT_EQ(e.kind(), ErrorKind::Config);
-        EXPECT_NE(std::string(e.what()).find("unknown hosted model"),
-                  std::string::npos);
-    }
+    expectError(rep, ErrorKind::Config, "unknown hosted model");
 }
 
 TEST_F(ServerFixture, CheckpointRoundTripRewindsTheSession)
@@ -230,10 +229,7 @@ TEST_F(ServerFixture, CheckpointRoundTripRewindsTheSession)
     std::vector<noc::PacketPtr> pkts;
     pkts.push_back(
         noc::makePacket(1, 0, 15, noc::MsgClass::Request, 8, 5));
-    ArchiveWriter inj = beginMessage(MsgType::InjectBatch);
-    encodePackets(inj, pkts);
-    sendMessage(fd, std::move(inj));
-    AdvanceReply a1 = advance(fd, 1000);
+    AdvanceReply a1 = step(fd, 1000, pkts);
     EXPECT_EQ(a1.delivered, 1u);
 
     Message ck = call(fd, beginMessage(MsgType::CkptSave));
@@ -249,10 +245,7 @@ TEST_F(ServerFixture, CheckpointRoundTripRewindsTheSession)
     std::vector<noc::PacketPtr> more;
     more.push_back(
         noc::makePacket(2, 1, 14, noc::MsgClass::Forward, 8, 1500));
-    ArchiveWriter inj2 = beginMessage(MsgType::InjectBatch);
-    encodePackets(inj2, more);
-    sendMessage(fd, std::move(inj2));
-    AdvanceReply a2 = advance(fd, 3000);
+    AdvanceReply a2 = step(fd, 3000, more);
     EXPECT_EQ(a2.delivered, 2u);
 
     ArchiveWriter load = beginMessage(MsgType::CkptLoad);
@@ -267,10 +260,7 @@ TEST_F(ServerFixture, CheckpointRoundTripRewindsTheSession)
     EXPECT_EQ(lr.digest, crc64(image));
 
     // The restored session replays the diverged tail identically.
-    ArchiveWriter inj3 = beginMessage(MsgType::InjectBatch);
-    encodePackets(inj3, more);
-    sendMessage(fd, std::move(inj3));
-    AdvanceReply a3 = advance(fd, 3000);
+    AdvanceReply a3 = step(fd, 3000, more);
     EXPECT_EQ(a3.delivered, a2.delivered);
     EXPECT_EQ(a3.injected, a2.injected);
 }
@@ -284,15 +274,7 @@ TEST_F(ServerFixture, CorruptCheckpointImageIsRejected)
     ArchiveWriter load = beginMessage(MsgType::CkptLoad);
     load.putString("definitely not an archive");
     Message rep = call(fd, std::move(load));
-    ASSERT_EQ(rep.type, MsgType::ErrorReply);
-    try {
-        throwDecodedError(rep.ar);
-        FAIL() << "throwDecodedError returned";
-    } catch (const SimError &e) {
-        EXPECT_EQ(e.kind(), ErrorKind::Transport);
-        EXPECT_NE(std::string(e.what()).find("corrupt checkpoint"),
-                  std::string::npos);
-    }
+    expectError(rep, ErrorKind::Transport, "corrupt checkpoint");
 }
 
 TEST_F(ServerFixture, PingIsLegalBeforeHello)
@@ -318,7 +300,7 @@ TEST_F(ServerFixture, PingInSessionReportsSessionState)
     Fd fd = connect();
     HelloRequest hreq;
     hello(fd, hreq);
-    step(fd, 500, false);
+    step(fd, 500);
 
     PingRequest req;
     req.nonce = 42;
@@ -392,100 +374,8 @@ TEST_F(ServerFixture, ServerSurvivesAVanishedClient)
     req.params.rows = 4;
     HelloReply hr = hello(fd, req);
     EXPECT_EQ(hr.num_nodes, 16u);
-    AdvanceReply rep = advance(fd, 100);
+    AdvanceReply rep = step(fd, 100);
     EXPECT_EQ(rep.cur_time, 100u);
-}
-
-// The differential tests drive speculation through RemoteNetwork, but
-// their workloads drain within a quantum, so the predictor rarely
-// arms. This test forces both speculation outcomes deterministically:
-// the client sleeps between quanta, guaranteeing the server's
-// readable() poll sees an empty socket and the predicted quantum
-// actually executes. A matching Step must then be answered from the
-// pre-sealed frame (spec_hit), a mismatched one must roll the session
-// back first (rebased) — and in both cases every reply and the final
-// stats tree must be bit-identical to a session that declined
-// speculation entirely.
-TEST_F(ServerFixture, SpeculationHitAndRebaseAreBitIdentical)
-{
-    auto burst = [] {
-        // Enough traffic that a 4x4 mesh stays busy well past tick
-        // 100 with 20-tick quanta (same shape as the mid-speculation
-        // kill test in remote_equivalence_test).
-        std::vector<noc::PacketPtr> pkts;
-        for (int i = 0; i < 256; ++i)
-            pkts.push_back(noc::makePacket(
-                static_cast<PacketId>(i + 1), i % 16, (i * 7 + 3) % 16,
-                noc::MsgClass::Request, 64, 5));
-        return pkts;
-    };
-    auto summarize = [](const AdvanceReply &r) {
-        std::ostringstream os;
-        os << r.cur_time << '/' << r.idle << '/' << r.injected << '/'
-           << r.delivered << '/' << r.in_flight;
-        for (const auto &p : r.deliveries)
-            os << ' ' << p->id << ':' << p->deliver_tick << ':'
-               << p->hops;
-        return os.str();
-    };
-    HelloRequest hreq;
-    hreq.params.columns = 4;
-    hreq.params.rows = 4;
-    // Quantum schedule: inject burst -> three drain quanta -> one
-    // off-stride quantum (90, where the predictor will expect 100).
-    const std::vector<Tick> targets = {20, 40, 60, 80, 90};
-
-    // Reference session: identical requests, speculation declined.
-    std::vector<std::string> ref;
-    std::vector<StatRow> ref_stats;
-    {
-        Fd fd = connect();
-        hello(fd, hreq);
-        for (std::size_t i = 0; i < targets.size(); ++i) {
-            auto [rep, flags] = step(
-                fd, targets[i], false,
-                i == 0 ? burst() : std::vector<noc::PacketPtr>{});
-            EXPECT_EQ(flags & (step_flag_spec_hit | step_flag_rebased),
-                      0)
-                << "server speculated against the client's wishes";
-            ref.push_back(summarize(rep));
-            EXPECT_FALSE(rep.idle) << "workload drained too early at "
-                                   << targets[i];
-        }
-        ref_stats = statsRows(fd);
-    }
-    const std::uint64_t hits_before = server_->counters().spec_hits;
-    const std::uint64_t rebases_before =
-        server_->counters().spec_rebases;
-
-    // Speculative session: the sleep before each Step guarantees the
-    // server's gap, so after the first drain-shaped quantum (40) the
-    // predicted quantum provably runs.
-    Fd fd = connect();
-    hello(fd, hreq);
-    std::vector<std::uint8_t> flags_seen;
-    for (std::size_t i = 0; i < targets.size(); ++i) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(50));
-        auto [rep, flags] = step(
-            fd, targets[i], true,
-            i == 0 ? burst() : std::vector<noc::PacketPtr>{});
-        flags_seen.push_back(flags);
-        EXPECT_EQ(summarize(rep), ref[i])
-            << "speculative reply diverged at target " << targets[i];
-    }
-    // Steps 60 and 80 match the prediction armed by the preceding
-    // drain quantum; 90 breaks the stride while a speculation to 100
-    // sits completed, forcing the rebase path.
-    EXPECT_TRUE(flags_seen[2] & step_flag_spec_hit);
-    EXPECT_TRUE(flags_seen[3] & step_flag_spec_hit);
-    EXPECT_TRUE(flags_seen[4] & step_flag_rebased);
-    EXPECT_FALSE(flags_seen[4] & step_flag_spec_hit);
-
-    // The rebased session's statistics — including per-router flit
-    // counts — must match the unspeculated reference exactly.
-    EXPECT_EQ(statsRows(fd), ref_stats);
-    EXPECT_GE(server_->counters().spec_hits, hits_before + 2);
-    EXPECT_GE(server_->counters().spec_rebases, rebases_before + 1);
 }
 
 } // namespace

@@ -5,7 +5,8 @@
  *    output port/VC, every arbiter cursor, the NIC's current VC, the
  *    VC of a link flit or credit) raises a typed SimError instead of
  *    indexing the flat arrays out of bounds or shifting a request word
- *    by its width or more;
+ *    by its width or more; the object kernel, which restores the same
+ *    archives, is held to the same table;
  *  - a geometry past the kernel's fixed-width limits (ports per
  *    router, VCs per port, buffer depth) is a typed config error that
  *    names network.kernel=object as the way out.
@@ -287,9 +288,13 @@ struct BadField
     std::int64_t value;
 };
 
-TEST(SoaRestore, EveryOutOfRangeIndexIsATypedError)
+/** Restore every corruption of a mid-run archive under @p kernel;
+ *  each must fail with that kernel's typed restore error. */
+void
+everyOutOfRangeIndexIsATypedError(const char *kernel)
 {
-    const NocParams p = meshParams();
+    NocParams p = meshParams();
+    p.kernel = kernel;
     const std::int64_t V = p.totalVcs();      // 6
     const std::int64_t W = p.vcs_per_vnet;    // 2
     const std::int64_t D = p.buffer_depth;    // 4
@@ -330,9 +335,16 @@ TEST(SoaRestore, EveryOutOfRangeIndexIsATypedError)
         std::string bad = corrupt.run(bytes);
         ASSERT_TRUE(corrupt.hit())
             << c.field << ": the archive has no such value to corrupt";
-        EXPECT_SIM_ERROR(restoreInto(p, bad), "soa restore")
-            << c.field << " = " << c.value;
+        EXPECT_SIM_ERROR(restoreInto(p, bad),
+                         std::string(kernel) + " restore")
+            << kernel << ": " << c.field << " = " << c.value;
     }
+}
+
+TEST(SoaRestore, EveryOutOfRangeIndexIsATypedError)
+{
+    for (const char *kernel : {"soa", "object"})
+        everyOutOfRangeIndexIsATypedError(kernel);
 }
 
 TEST(SoaRestore, ActiveVcWithoutAnOutputIsATypedError)
