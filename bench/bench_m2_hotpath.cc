@@ -35,6 +35,7 @@
 #include <vector>
 
 #include "bench_util.hh"
+#include "common/oracle_kernel.hh"
 #include "cosim/full_system.hh"
 #include "noc/cycle_network.hh"
 #include "noc/packet.hh"
@@ -282,12 +283,12 @@ runSystem(Tick warm_ticks, Tick run_ticks)
 
 // ---------------------------------------------------------------------
 // Kernel lanes: the same detailed CycleNetwork run under each compute
-// backend — object (per-component reference), soa-scalar and, when the
-// build and host allow it, soa-avx2. All lanes see identical seeded
-// traffic and must deliver the identical packet stream (checksummed),
-// so the throughput ratio isolates the kernel: flat SoA state plus the
-// active-node worklist versus pointer-chasing every component every
-// cycle.
+// backend — object (the per-component oracle from tests/noc/oracle),
+// soa-scalar and, when the build and host allow it, soa-avx2. All
+// lanes see identical seeded traffic and must deliver the identical
+// packet stream (checksummed), so the throughput ratio isolates the
+// kernel: flat SoA state plus the active-node worklist versus
+// pointer-chasing every component every cycle.
 // ---------------------------------------------------------------------
 
 struct KernelLaneResult
@@ -298,8 +299,10 @@ struct KernelLaneResult
     std::uint64_t checksum = 0;
 };
 
+/** @p kernel "object" runs the oracle; @p scalar forces soa's scalar
+ *  path (else it dispatches to AVX2 when the build and host allow). */
 KernelLaneResult
-runKernelLane(const char *kernel, const char *simd,
+runKernelLane(const std::string &kernel, bool scalar,
               std::uint64_t warm_quanta, std::uint64_t quanta)
 {
     constexpr Tick quantum = 1000;
@@ -309,9 +312,11 @@ runKernelLane(const char *kernel, const char *simd,
     noc::NocParams p;
     p.columns = 16;
     p.rows = 16;
-    p.kernel = kernel;
-    p.simd = simd;
+    test::OracleKernel oracle(kernel == "object");
+    if (scalar)
+        cpuid::setHostOverrideForTest(false);
     noc::CycleNetwork net(sim, "bench", p);
+    cpuid::clearHostOverrideForTest();
 
     KernelLaneResult r;
     net.setDeliveryHandler([&r](const noc::PacketPtr &pkt) {
@@ -400,12 +405,12 @@ main(int argc, char **argv)
     // Kernel lanes: 16x16 CycleNetwork, identical seeded traffic.
     const std::uint64_t kwarm = quick ? 50 : 100;
     const std::uint64_t kquanta = quick ? 40 : 300;
-    KernelLaneResult kobj = runKernelLane("object", "auto", kwarm, kquanta);
-    KernelLaneResult ksoa = runKernelLane("soa", "scalar", kwarm, kquanta);
-    bool have_avx2 = cpuid::simdCompiledIn() && cpuid::hostHasAvx2();
+    KernelLaneResult kobj = runKernelLane("object", false, kwarm, kquanta);
+    KernelLaneResult ksoa = runKernelLane("soa", true, kwarm, kquanta);
+    bool have_avx2 = cpuid::hostSimdLevel() == cpuid::SimdLevel::Avx2;
     KernelLaneResult ksimd;
     if (have_avx2)
-        ksimd = runKernelLane("soa", "avx2", kwarm, kquanta);
+        ksimd = runKernelLane("soa", false, kwarm, kquanta);
     if (ksoa.checksum != kobj.checksum ||
         (have_avx2 && ksimd.checksum != kobj.checksum)) {
         std::fprintf(stderr, "kernel lane checksum mismatch\n");

@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
 # Build the simulator with ThreadSanitizer and run the test labels
 # that exercise concurrency: sim (engine unit/property tests), noc
-# (serial-vs-parallel differentials, including the network.kernel=soa
-# lanes whose flat occupancy arrays rely on the single-writer-per-phase
-# discipline TSan validates), cosim (overlapped bridge determinism) and
+# (serial-vs-parallel differentials of the SoA kernel, whose flat
+# occupancy arrays rely on the single-writer-per-phase discipline TSan
+# validates, and of the test-only object oracle), cosim (overlapped bridge determinism) and
 # ipc (the multiplexing rasim-nocd daemon — session threads, fair
 # scheduler and the multi-session soak).
 #

@@ -33,13 +33,6 @@ struct NocServer::Session
 {
     explicit Session(const HelloRequest &req) : hello(req)
     {
-        if (req.proto != protocol_version) {
-            throw SimError(
-                ErrorKind::Transport,
-                "protocol version mismatch: client speaks v" +
-                    std::to_string(req.proto) + ", server speaks v" +
-                    std::to_string(protocol_version));
-        }
         sim = std::make_unique<Simulation>();
         if (req.model == "cycle") {
             cycle = std::make_unique<noc::CycleNetwork>(*sim, "net",
@@ -76,13 +69,6 @@ struct NocServer::Session
                            hello.params.flitsPerPacket(pkt->size_bytes),
                            pkt->latency(), pkt->src, pkt->dst);
         });
-
-        // Reconnect after a client-side quarantine: catch a fresh
-        // network up to the client's clock so injections at the
-        // current quantum are not "in the past".
-        if (req.start_tick > 0)
-            net->advanceTo(req.start_tick);
-        deliveries.clear();
     }
 
     const stats::Group &statsGroup() const { return *group(); }
@@ -677,8 +663,7 @@ NocServer::dispatch(ByteChannel &conn, Message &msg,
             HelloRequest req = decodeHello(msg.ar);
             msg.done();
             {
-                // Construction can fast-forward a reconnecting
-                // session arbitrarily far: that is compute.
+                // Building a large network is compute.
                 Turn turn(*this, id);
                 session = std::make_unique<Session>(req);
             }

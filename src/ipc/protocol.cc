@@ -111,10 +111,7 @@ encodeHello(ArchiveWriter &aw, const HelloRequest &req)
     aw.putU32(static_cast<std::uint32_t>(req.params.link_latency));
     aw.putU32(static_cast<std::uint32_t>(req.params.pipeline_stages));
     aw.putU32(req.params.flit_bytes);
-    aw.putString(req.params.kernel);
-    aw.putString(req.params.simd);
     aw.putU32(static_cast<std::uint32_t>(req.engine_workers));
-    aw.putU64(req.start_tick);
     aw.putDouble(req.table_alpha);
     aw.putBool(req.table_pair_granularity);
     aw.putU32(static_cast<std::uint32_t>(req.table_max_hops));
@@ -126,6 +123,16 @@ decodeHello(ArchiveReader &ar)
     return guardedDecode("Hello", [&] {
         HelloRequest req;
         req.proto = ar.getU32();
+        // Another revision lays the rest of the body out differently:
+        // refuse it by its version, before misreading its fields. The
+        // guard reports it as a malformed Hello (Transport).
+        if (req.proto != protocol_version) {
+            throw SimError(
+                ErrorKind::Config,
+                "protocol version mismatch: client speaks v" +
+                    std::to_string(req.proto) + ", server speaks v" +
+                    std::to_string(protocol_version));
+        }
         req.model = ar.getString();
         req.params.columns = static_cast<int>(ar.getU32());
         req.params.rows = static_cast<int>(ar.getU32());
@@ -137,10 +144,7 @@ decodeHello(ArchiveReader &ar)
         req.params.link_latency = static_cast<int>(ar.getU32());
         req.params.pipeline_stages = static_cast<int>(ar.getU32());
         req.params.flit_bytes = ar.getU32();
-        req.params.kernel = ar.getString();
-        req.params.simd = ar.getString();
         req.engine_workers = static_cast<int>(ar.getU32());
-        req.start_tick = ar.getU64();
         req.table_alpha = ar.getDouble();
         req.table_pair_granularity = ar.getBool();
         req.table_max_hops = static_cast<int>(ar.getU32());

@@ -51,15 +51,17 @@ namespace ipc
  *  format version (the archive guards encoding, this guards meaning).
  *  v2 added the coalesced Step/StepReply exchange; v3 added Ping/Pong
  *  liveness frames and the CRC64 replica-attestation digests carried
- *  by CkptData, CkptLoadAck and attested StepReplies; v4 carries the
- *  compute-kernel selection (network.kernel, kernel.simd) in Hello so
- *  the server builds the same backend the client configured; v5 makes
+ *  by CkptData, CkptLoadAck and attested StepReplies; v4 carried the
+ *  client's compute-kernel selection in Hello so the server built the
+ *  same backend; v5 makes
  *  Step the only quantum exchange: the v1 InjectBatch/Advance/
  *  DeliveryBatch messages (type codes 2, 3 and 103, never reused) are
  *  gone, and the server no longer pre-computes replies, so
  *  StepRequest lost its hint byte and StepReply flag bits 1 and 2 are
- *  retired. */
-constexpr std::uint32_t protocol_version = 5;
+ *  retired; v6 drops the kernel selection and start_tick from Hello:
+ *  the server always builds the one production kernel, and a session
+ *  that must start past tick 0 is caught up by an empty Step. */
+constexpr std::uint32_t protocol_version = 6;
 
 /** Session-opening handshake: everything the server needs to build a
  *  deterministic twin of the in-process backend. */
@@ -72,9 +74,6 @@ struct HelloRequest
     /** Worker threads of the server-side ParallelEngine (0 = serial).
      *  Bit-identical either way, by the engine determinism contract. */
     int engine_workers = 0;
-    /** Fast-forward a fresh network to this tick (reconnect after a
-     *  server loss mid-run; 0 on a cold start). */
-    Tick start_tick = 0;
     /** Shadow LatencyTable geometry (tuned-table readback). */
     double table_alpha = 0.05;
     bool table_pair_granularity = false;
@@ -191,6 +190,8 @@ void encodeError(ArchiveWriter &aw, ErrorKind kind,
 
 /** @name Payload decoders (consume a recvMessage() payload) */
 /// @{
+/** Refuses a Hello of any other protocol_version (typed Transport
+ *  error) before reading a field past the version. */
 HelloRequest decodeHello(ArchiveReader &ar);
 HelloReply decodeHelloReply(ArchiveReader &ar);
 StepRequest decodeStep(ArchiveReader &ar);

@@ -4,8 +4,7 @@
  * exchangeable execution engine. The network itself is a thin
  * orchestrator — injection heap, aggregate statistics, delivery
  * callbacks — while the per-cycle router/NIC/link state machine lives
- * behind a swappable compute backend (see noc/kernel/backend.hh)
- * selected by `network.kernel`.
+ * behind a compute backend (see noc/kernel/backend.hh).
  */
 
 #ifndef RASIM_NOC_CYCLE_NETWORK_HH

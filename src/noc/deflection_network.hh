@@ -13,8 +13,7 @@
  * bufferless formulation.
  *
  * Like CycleNetwork, the network is a thin orchestrator over a
- * swappable compute backend (see noc/kernel/backend.hh) selected by
- * `network.kernel`. The per-cycle update is phase-structured so an
+ * compute backend (see noc/kernel/backend.hh). The per-cycle update is phase-structured so an
  * exchangeable StepEngine can run it data-parallel and bit-identical
  * to serial execution: a route phase in which node i consumes its own
  * arrival set and writes only its own per-port output staging, a

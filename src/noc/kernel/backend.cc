@@ -1,10 +1,9 @@
 #include "noc/kernel/backend.hh"
 
-#include "noc/kernel/object_cycle.hh"
-#include "noc/kernel/object_deflect.hh"
+#include <atomic>
+
 #include "noc/kernel/soa_cycle.hh"
 #include "noc/kernel/soa_deflect.hh"
-#include "sim/logging.hh"
 
 namespace rasim
 {
@@ -13,54 +12,37 @@ namespace noc
 namespace kernel
 {
 
-KernelKind
-kernelKindFromString(const std::string &s)
+namespace
 {
-    if (s == "object")
-        return KernelKind::Object;
-    if (s == "soa")
-        return KernelKind::Soa;
-    fatal("network.kernel: unknown kernel '", s,
-          "' (expected object or soa)");
-}
 
-const char *
-kernelKindName(KernelKind kind)
-{
-    switch (kind) {
-      case KernelKind::Object:
-        return "object";
-      case KernelKind::Soa:
-        return "soa";
-    }
-    return "?";
-}
+std::atomic<const FabricFactory *> test_factory{nullptr};
+
+} // namespace
 
 std::unique_ptr<CycleFabric>
 makeCycleFabric(stats::Group *parent, const NocParams &params,
                 const Topology &topo, const RoutingAlgorithm &routing)
 {
-    switch (kernelKindFromString(params.kernel)) {
-      case KernelKind::Object:
-        return std::make_unique<ObjectCycleFabric>(parent, params,
-                                                   topo, routing);
-      case KernelKind::Soa:
-        return std::make_unique<SoaCycleFabric>(parent, params, topo,
-                                                routing);
-    }
-    return nullptr;
+    if (const FabricFactory *f =
+            test_factory.load(std::memory_order_acquire))
+        return f->cycle(parent, params, topo, routing);
+    return std::make_unique<SoaCycleFabric>(parent, params, topo,
+                                            routing);
 }
 
 std::unique_ptr<DeflectFabric>
 makeDeflectFabric(const NocParams &params, const Topology &topo)
 {
-    switch (kernelKindFromString(params.kernel)) {
-      case KernelKind::Object:
-        return std::make_unique<ObjectDeflectFabric>(params, topo);
-      case KernelKind::Soa:
-        return std::make_unique<SoaDeflectFabric>(params, topo);
-    }
-    return nullptr;
+    if (const FabricFactory *f =
+            test_factory.load(std::memory_order_acquire))
+        return f->deflect(params, topo);
+    return std::make_unique<SoaDeflectFabric>(params, topo);
+}
+
+void
+setFabricFactoryForTest(const FabricFactory *factory)
+{
+    test_factory.store(factory, std::memory_order_release);
 }
 
 } // namespace kernel

@@ -4,19 +4,20 @@
  * (CycleNetwork, DeflectionNetwork) are thin orchestrators — they own
  * injection heaps, aggregate statistics and delivery callbacks — while
  * the per-cycle router/NIC/link state machine lives behind one of the
- * fabric interfaces below, selected by `network.kernel`:
+ * fabric interfaces below.
  *
- *  - "object": the per-object Router/Nic/Link reference implementation
- *    (pointer-linked components stepped one at a time), and
- *  - "soa": the structure-of-arrays kernel — all per-router/per-port/
- *    per-VC state in flat, contiguous, index-addressed arrays, the
- *    RC/VA/SA/ST+LT stages run as batched passes over an active-node
- *    worklist, with an AVX2 occupancy scan behind runtime CPU dispatch.
+ * Production builds one kernel: the structure-of-arrays fabrics — all
+ * per-router/per-port/per-VC state in flat, contiguous,
+ * index-addressed arrays, the RC/VA/SA/ST+LT stages run as batched
+ * passes over an active-node worklist, with an AVX2 occupancy scan
+ * behind runtime CPU dispatch.
  *
- * Both backends implement the same algorithm in the same per-node
- * operation order, so results are bit-identical: deliveries, the full
- * stats tree, and — because both emit the same archive byte stream —
- * checkpoints are interchangeable across backends.
+ * The interfaces exist so a test can substitute the per-object
+ * Router/Nic/Link oracle (tests/noc/oracle) through
+ * setFabricFactoryForTest(). The oracle implements the same algorithm
+ * in the same per-node operation order, so results are bit-identical:
+ * deliveries, the full stats tree, and — because both emit the same
+ * archive byte stream — checkpoints are interchangeable between them.
  */
 
 #ifndef RASIM_NOC_KERNEL_BACKEND_HH
@@ -46,16 +47,6 @@ class RoutingAlgorithm;
 
 namespace kernel
 {
-
-enum class KernelKind
-{
-    Object,
-    Soa,
-};
-
-/** Parse a `network.kernel` value; fatal() on an unknown name. */
-KernelKind kernelKindFromString(const std::string &s);
-const char *kernelKindName(KernelKind kind);
 
 /** Per-router activity counters consumed by the power model. */
 struct RouterActivity
@@ -105,9 +96,9 @@ class CycleFabric
 
     /**
      * Checkpoint the fabric-resident state: the shared packet table
-     * followed by per-router, per-NIC and per-link sections. Both
-     * backends emit the identical byte stream, so a checkpoint taken
-     * under one kernel restores under the other.
+     * followed by per-router, per-NIC and per-link sections. The SoA
+     * kernel and the oracle emit the identical byte stream, so a
+     * checkpoint taken under one restores under the other.
      */
     virtual void save(ArchiveWriter &aw) const = 0;
     virtual void restore(ArchiveReader &ar) = 0;
@@ -172,25 +163,48 @@ class DeflectFabric
     /**
      * Ascending node indices whose scratch may be non-empty this
      * cycle. Folding an untouched scratch is the identity, so a
-     * backend may return all nodes (object) or just the active ones
-     * (soa) — the fold result is bit-identical either way.
+     * backend may return all nodes (the oracle) or just the active
+     * ones (soa) — the fold result is bit-identical either way.
      */
     virtual const std::vector<int> &scratchNodes() const = 0;
 
     virtual NodeScratch &scratch(std::size_t node) = 0;
 
-    /** Archive byte stream shared by both kernels (packet table,
-     *  arrivals, injection queues, reassembly maps). */
+    /** Archive byte stream shared by the SoA kernel and the oracle
+     *  (packet table, arrivals, injection queues, reassembly maps). */
     virtual void save(ArchiveWriter &aw) const = 0;
     virtual void restore(ArchiveReader &ar) = 0;
 };
 
+/** The SoA cycle fabric, or the test factory's when one is set. */
 std::unique_ptr<CycleFabric>
 makeCycleFabric(stats::Group *parent, const NocParams &params,
                 const Topology &topo, const RoutingAlgorithm &routing);
 
+/** The SoA deflection fabric, or the test factory's when one is set. */
 std::unique_ptr<DeflectFabric>
 makeDeflectFabric(const NocParams &params, const Topology &topo);
+
+/** Builders of both fabrics, substituted for the SoA kernel in tests. */
+struct FabricFactory
+{
+    std::unique_ptr<CycleFabric> (*cycle)(stats::Group *parent,
+                                          const NocParams &params,
+                                          const Topology &topo,
+                                          const RoutingAlgorithm &routing);
+    std::unique_ptr<DeflectFabric> (*deflect)(const NocParams &params,
+                                              const Topology &topo);
+};
+
+/**
+ * Test hook: every network built from now on takes its fabric from
+ * @p factory (nullptr restores the SoA kernel). Process-wide, so the
+ * networks of a FullSystem or of an in-process server session follow
+ * it too; a fabric is built once, in the network's constructor.
+ * tests/common/oracle_kernel.hh installs the oracle with an RAII
+ * guard.
+ */
+void setFabricFactoryForTest(const FabricFactory *factory);
 
 } // namespace kernel
 } // namespace noc

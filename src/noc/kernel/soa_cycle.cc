@@ -59,22 +59,11 @@ checkedIndex(T v, std::int64_t lo, std::int64_t hi, const char *what,
 } // namespace
 
 void
-SoaCycleFabric::checkGeometry(const std::string &topology, int ports,
-                              int total_vcs, int buffer_depth)
+SoaCycleFabric::checkPorts(const std::string &topology, int ports)
 {
     if (ports > max_ports)
-        fatal("network.kernel=soa supports at most ", max_ports,
-              " ports per router; topology '", topology, "' has ",
-              ports, "; use network.kernel=object");
-    if (total_vcs > max_vcs)
-        fatal("network.kernel=soa supports at most ", max_vcs,
-              " VCs per port (got ", total_vcs,
-              " = 3 vnets x vc_classes x vcs_per_vnet); use "
-              "network.kernel=object");
-    if (buffer_depth > max_buffer_depth)
-        fatal("network.kernel=soa supports buffer_depth up to ",
-              max_buffer_depth, " (got ", buffer_depth,
-              "); use network.kernel=object");
+        fatal("noc: a router has at most ", max_ports,
+              " ports; topology '", topology, "' has ", ports);
 }
 
 SoaCycleFabric::RouterStats::RouterStats(stats::Group *parent, int id)
@@ -121,11 +110,11 @@ SoaCycleFabric::SoaCycleFabric(stats::Group *parent,
     C_ = num_vnets * params_.vc_classes;
     W_ = params_.vcs_per_vnet;
 
-    checkGeometry(topo.name(), P_, V_, D_);
+    checkPorts(topo.name(), P_);
     // W_ <= V_ / 3 <= 21, so the shift is in range.
     pool_mask_ = (VcMask{1} << W_) - 1;
 
-    simd_ = cpuid::resolveSimdLevel(params_.simd);
+    simd_ = cpuid::hostSimdLevel();
     scan_ = activeScanFor(simd_);
 
     // Stats tree: router/NIC groups interleaved in node order, the
@@ -155,7 +144,7 @@ SoaCycleFabric::SoaCycleFabric(stats::Group *parent,
     ip_sa_rr_.assign(np, 0);
     op_sa_rr_.assign(np, 0);
     op_va_rr_.assign(np * C_, 0);
-    ovc_free_.assign(np, V_ == max_vcs ? ~VcMask{0} : bit(V_) - 1);
+    ovc_free_.assign(np, V_ == NocParams::max_vcs_per_port ? ~VcMask{0} : bit(V_) - 1);
     ovc_credits_.assign(npv, 0);
     in_link_.assign(np, -1);
     out_link_.assign(np, -1);

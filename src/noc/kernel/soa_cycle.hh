@@ -79,18 +79,14 @@ class SoaCycleFabric : public CycleFabric
 
     cpuid::SimdLevel simdLevel() const { return simd_; }
 
-    /** Widest router the kernel's fixed-width state holds: ports per
-     *  router (occupancy-block layout), VCs per port (one request
-     *  word) and flits per VC buffer (16-bit FIFO cursors). */
+    /** Ports per router the occupancy-block layout holds (mesh and
+     *  torus routers have exactly 5). The VC and buffer limits are
+     *  NocParams::validate() errors. */
     static constexpr int max_ports = 5;
-    static constexpr int max_vcs = 64;
-    static constexpr int max_buffer_depth = 65535;
 
     /** fatal() (SimError(Config) under a ThrowOnError guard) unless a
-     *  router of this geometry fits the limits above; the message
-     *  names network.kernel=object, which has none of them. */
-    static void checkGeometry(const std::string &topology, int ports,
-                              int total_vcs, int buffer_depth);
+     *  @p topology router of @p ports ports fits max_ports. */
+    static void checkPorts(const std::string &topology, int ports);
 
   private:
     /** One bit per VC of a port (bit v = VC v). */

@@ -72,11 +72,10 @@ SoaDeflectFabric::SoaDeflectFabric(const NocParams &params,
     cap_ = P_ - 1;
 
     if (P_ > static_cast<int>(occ_words))
-        fatal("network.kernel=soa supports at most ", occ_words,
-              " ports per deflection router; topology '", topo_.name(),
-              "' has ", P_, "; use network.kernel=object");
+        fatal("noc: a deflection router has at most ", occ_words,
+              " ports; topology '", topo_.name(), "' has ", P_);
 
-    simd_ = cpuid::resolveSimdLevel(params_.simd);
+    simd_ = cpuid::hostSimdLevel();
     scan_ = activeScanFor(simd_);
 
     conn_off_.assign(n_ + 1, 0);

@@ -25,8 +25,6 @@ NocParams::fromConfig(const Config &cfg)
         static_cast<int>(cfg.getUInt("noc.pipeline_stages", 2));
     p.flit_bytes =
         static_cast<std::uint32_t>(cfg.getUInt("noc.flit_bytes", 16));
-    p.kernel = cfg.getString("network.kernel", "soa");
-    p.simd = cfg.getString("kernel.simd", "auto");
     p.validate();
     return p;
 }
@@ -53,12 +51,13 @@ NocParams::validate() const
         fatal("noc: flit_bytes must be > 0");
     if (topology != "mesh" && topology != "torus")
         fatal("noc: unknown topology '", topology, "'");
-    if (kernel != "object" && kernel != "soa")
-        fatal("noc: unknown network.kernel '", kernel,
-              "' (expected object or soa)");
-    if (simd != "auto" && simd != "scalar" && simd != "avx2")
-        fatal("noc: unknown kernel.simd '", simd,
-              "' (expected auto, scalar or avx2)");
+    if (totalVcs() > max_vcs_per_port)
+        fatal("noc: at most ", max_vcs_per_port, " VCs per port (got ",
+              totalVcs(), " = ", num_vnets, " vnets x vc_classes x "
+              "vcs_per_vnet)");
+    if (buffer_depth > max_buffer_depth)
+        fatal("noc: buffer_depth must be <= ", max_buffer_depth, " (got ",
+              buffer_depth, ")");
 }
 
 } // namespace noc

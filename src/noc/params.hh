@@ -45,21 +45,18 @@ struct NocParams
     int pipeline_stages = 2;
     /** Link width: bytes carried per flit. */
     std::uint32_t flit_bytes = 16;
-    /**
-     * Compute backend for the detailed models: "soa" runs the batched
-     * structure-of-arrays kernel, "object" steps the per-object
-     * Router/Nic/Link reference path the differentials compare it
-     * against (bit-identical results).
-     */
-    std::string kernel = "soa";
-    /** SIMD policy for the SoA kernel: "auto", "scalar" or "avx2". */
-    std::string simd = "auto";
 
-    /** Read "noc.*" keys (plus "network.kernel" / "kernel.simd"),
-     *  applying topology-dependent defaults. */
+    /** Widest router the kernel's fixed-width state holds: VCs per
+     *  port (one 64-bit request word) and flits per VC buffer (16-bit
+     *  FIFO cursors). */
+    static constexpr int max_vcs_per_port = 64;
+    static constexpr int max_buffer_depth = 65535;
+
+    /** Read "noc.*" keys, applying topology-dependent defaults. */
     static NocParams fromConfig(const Config &cfg);
 
-    /** Abort with fatal() on inconsistent values. */
+    /** Abort with fatal() on inconsistent values or a geometry past
+     *  the limits above. */
     void validate() const;
 
     int numNodes() const { return columns * rows; }

@@ -331,14 +331,12 @@ RemoteNetwork::openChannelTo(std::size_t ep, double timeout_ms)
 }
 
 ipc::HelloReply
-RemoteNetwork::helloOn(ipc::ByteChannel &ch, const std::string &addr,
-                       Tick start_tick)
+RemoteNetwork::helloOn(ipc::ByteChannel &ch, const std::string &addr)
 {
     ipc::HelloRequest req;
     req.model = options_.model;
     req.params = params_;
     req.engine_workers = options_.engine_workers;
-    req.start_tick = start_tick;
     req.table_alpha = table_proto_.alpha();
     req.table_pair_granularity =
         table_proto_.granularity() ==
@@ -496,13 +494,12 @@ RemoteNetwork::coldOpen()
                     retry_.capToDeadline(options_.connect_timeout_ms);
                 std::unique_ptr<ipc::ByteChannel> ch =
                     openChannelTo(ep, budget);
-                // With a base image the fresh fabric starts at tick 0
-                // and the image rewinds it to the base; without one
-                // the lineage is empty and the session starts cold at
-                // the base tick.
-                Tick start = base_image_.empty() ? journal_base_ : 0;
-                ipc::HelloReply rep = helloOn(*ch, addr, start);
-                Tick server_tick = journal_base_;
+                // The fresh fabric starts at tick 0. A base image
+                // rewinds it to the base; without one the lineage is
+                // empty and an empty Step below catches it up to the
+                // base tick.
+                ipc::HelloReply rep = helloOn(*ch, addr);
+                Tick server_tick = 0;
                 if (!base_image_.empty()) {
                     ipc::CkptLoadReply ack =
                         ckptLoadOn(*ch, addr, base_image_);
@@ -529,6 +526,18 @@ RemoteNetwork::coldOpen()
                                 " != base digest " +
                                 std::to_string(base_digest_));
                     }
+                }
+                if (server_tick < journal_base_) {
+                    // The same catch-up syncNow() sends after idle
+                    // elision: the fabric is empty, so the reply
+                    // carries no deliveries.
+                    ipc::StepRequest req;
+                    req.target = journal_base_;
+                    std::uint8_t flags = 0;
+                    std::uint64_t digest = 0;
+                    server_tick =
+                        exchangeStepOn(*ch, addr, req, flags, digest)
+                            .cur_time;
                 }
                 num_nodes_ = rep.num_nodes;
                 if (ep != active_ep_)
@@ -631,14 +640,16 @@ RemoteNetwork::applyReply(const ipc::AdvanceReply &rep)
 }
 
 ipc::AdvanceReply
-RemoteNetwork::exchangeStep(const ipc::StepRequest &req,
-                           std::uint8_t &flags, std::uint64_t &digest)
+RemoteNetwork::exchangeStepOn(ipc::ByteChannel &ch, const std::string &addr,
+                              const ipc::StepRequest &req,
+                              std::uint8_t &flags, std::uint64_t &digest)
 {
     ArchiveWriter aw = ipc::beginMessage(ipc::MsgType::Step);
     ipc::encodeStep(aw, req);
-    ipc::sendMessage(*chan_, std::move(aw));
+    ipc::sendMessage(ch, std::move(aw));
 
-    ipc::Message msg = expectReply(options_.quantum_timeout_ms);
+    ipc::Message msg =
+        expectReplyOn(ch, addr, options_.quantum_timeout_ms);
     if (msg.type == ipc::MsgType::ErrorReply)
         ipc::throwDecodedError(msg.ar);
     if (msg.type != ipc::MsgType::StepReply) {
@@ -649,6 +660,13 @@ RemoteNetwork::exchangeStep(const ipc::StepRequest &req,
     ipc::AdvanceReply rep = ipc::decodeStepReply(msg.ar, flags, &digest);
     msg.done();
     return rep;
+}
+
+ipc::AdvanceReply
+RemoteNetwork::exchangeStep(const ipc::StepRequest &req,
+                           std::uint8_t &flags, std::uint64_t &digest)
+{
+    return exchangeStepOn(*chan_, activeEndpoint(), req, flags, digest);
 }
 
 void
@@ -824,7 +842,7 @@ RemoteNetwork::replicateToStandby()
         if (!standby_chan_ || !standby_chan_->valid()) {
             standby_chan_ =
                 openChannelTo(ep, options_.connect_timeout_ms);
-            helloOn(*standby_chan_, addr, 0);
+            helloOn(*standby_chan_, addr);
         }
         ipc::CkptLoadReply ack =
             ckptLoadOn(*standby_chan_, addr, base_image_);

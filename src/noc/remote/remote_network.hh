@@ -38,8 +38,8 @@
  * SimError — precisely where the co-simulation bridge's health
  * machinery catches backend failures and degrades the run to the
  * tuned-abstract fallback; the lineage is dropped at that point, so a
- * later re-engagement opens a fresh session fast-forwarded to the
- * current tick (the pre-retry lossy semantics).
+ * later re-engagement opens a fresh session and an empty Step catches
+ * it up to the current tick (the pre-retry lossy semantics).
  *
  * Chaos: with fault.transport.* enabled every connection is wrapped in
  * an ipc::FaultyTransport drawing from one TransportFaultSchedule
@@ -362,9 +362,9 @@ class RemoteNetwork : public SimObject, public NetworkModel
      *  schedule when chaos is enabled. */
     std::unique_ptr<ipc::ByteChannel> openChannelTo(std::size_t ep,
                                                     double timeout_ms);
-    /** Hello/HelloAck handshake on @p ch at @p start_tick. */
+    /** Hello/HelloAck handshake on @p ch: a fresh network at tick 0. */
     ipc::HelloReply helloOn(ipc::ByteChannel &ch,
-                            const std::string &addr, Tick start_tick);
+                            const std::string &addr);
     /** Push @p image into the session on @p ch; returns the restored
      *  server tick plus the replica's own re-serialization digest. */
     ipc::CkptLoadReply ckptLoadOn(ipc::ByteChannel &ch,
@@ -425,8 +425,14 @@ class RemoteNetwork : public SimObject, public NetworkModel
                                           const SimError &send_err);
     /** Mirror a quantum reply and replay its deliveries in order. */
     void applyReply(const ipc::AdvanceReply &rep);
-    /** Send @p req as a Step on the live channel and decode the
-     *  StepReply (no retry, nothing applied). */
+    /** Send @p req as a Step on @p ch and decode the StepReply (no
+     *  retry, nothing applied). */
+    ipc::AdvanceReply exchangeStepOn(ipc::ByteChannel &ch,
+                                     const std::string &addr,
+                                     const ipc::StepRequest &req,
+                                     std::uint8_t &flags,
+                                     std::uint64_t &digest);
+    /** exchangeStepOn() the live channel. */
     ipc::AdvanceReply exchangeStep(const ipc::StepRequest &req,
                                    std::uint8_t &flags,
                                    std::uint64_t &digest);

@@ -1,7 +1,5 @@
 #include "sim/cpuid.hh"
 
-#include "sim/logging.hh"
-
 namespace rasim
 {
 namespace cpuid
@@ -63,27 +61,10 @@ hostHasAvx2()
 }
 
 SimdLevel
-resolveSimdLevel(const std::string &requested)
+hostSimdLevel()
 {
-    if (requested == "scalar")
-        return SimdLevel::Scalar;
-    if (requested == "avx2") {
-        if (!simdCompiledIn())
-            fatal("kernel.simd=avx2 requested but this build has no "
-                  "AVX2 kernel (configure with -DRASIM_SIMD=on on an "
-                  "x86-64 toolchain)");
-        if (!hostHasAvx2())
-            fatal("kernel.simd=avx2 requested but this CPU does not "
-                  "support AVX2; use kernel.simd=auto for a scalar "
-                  "fallback");
-        return SimdLevel::Avx2;
-    }
-    if (requested == "auto") {
-        return (simdCompiledIn() && hostHasAvx2()) ? SimdLevel::Avx2
-                                                   : SimdLevel::Scalar;
-    }
-    fatal("unknown kernel.simd value '", requested,
-          "' (expected auto, scalar or avx2)");
+    return (simdCompiledIn() && hostHasAvx2()) ? SimdLevel::Avx2
+                                               : SimdLevel::Scalar;
 }
 
 void

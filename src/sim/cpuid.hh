@@ -3,20 +3,17 @@
  * Runtime CPU-feature detection for the SIMD kernel dispatch. The
  * structure-of-arrays NoC kernel ships a scalar implementation plus an
  * AVX2 specialization compiled behind the RASIM_SIMD build switch;
- * this helper decides, once per process, which one a run may use.
+ * this helper decides which one a run uses.
  *
- * Policy: "auto" silently falls back to scalar when AVX2 is missing
- * (compile-time or runtime), because the two paths are bit-identical
- * by construction. Explicitly requesting "avx2" on a host that cannot
- * run it is a configuration error and raises a typed SimError rather
- * than silently degrading — a forced kernel choice is a reproducibility
- * statement the simulator must not quietly override.
+ * There is no user-facing choice: the kernel runs AVX2 when it is
+ * compiled in and the CPU executes it, and scalar otherwise. The two
+ * paths are bit-identical by construction, so the choice can only
+ * change speed. Tests force the scalar path with
+ * setHostOverrideForTest(false).
  */
 
 #ifndef RASIM_SIM_CPUID_HH
 #define RASIM_SIM_CPUID_HH
-
-#include <string>
 
 namespace rasim
 {
@@ -40,19 +37,14 @@ bool simdCompiledIn();
  *  call; honours the test override below. */
 bool hostHasAvx2();
 
-/**
- * Resolve a requested SIMD policy string ("auto", "scalar", "avx2")
- * to the level this process will actually run. Unknown strings and
- * an unsatisfiable explicit "avx2" request report through fatal(), so
- * under logging::ThrowOnError they surface as
- * SimError(ErrorKind::Config).
- */
-SimdLevel resolveSimdLevel(const std::string &requested);
+/** The level a kernel built now runs: Avx2 when simdCompiledIn()
+ *  and hostHasAvx2(), else Scalar. */
+SimdLevel hostSimdLevel();
 
 /**
  * Test hook: force hostHasAvx2() to return @p has regardless of the
- * real CPU, so unit tests can exercise both the graceful-fallback and
- * the explicit-rejection paths on any build host. Call
+ * real CPU, so tests can run the scalar path on an AVX2 host (and the
+ * dispatch logic both ways on any host). Call
  * clearHostOverrideForTest() to restore real detection.
  */
 void setHostOverrideForTest(bool has);

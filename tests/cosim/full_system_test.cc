@@ -95,6 +95,26 @@ TEST(FullSystem, MisspelledConfigKeyWarns)
     EXPECT_EQ(warnCount() - before, 1u);
 }
 
+TEST(FullSystem, RemovedKernelKeysAreReportedUnread)
+{
+    // network.kernel and kernel.simd chose between two bit-identical
+    // NoC kernels; production now has one, so nothing reads either key
+    // and a config still setting them is told so.
+    Config cfg;
+    cfg.set("system.mode", std::string("cosim"));
+    cfg.set("noc.columns", 4);
+    cfg.set("noc.rows", 4);
+    cfg.set("network.kernel", std::string("object"));
+    cfg.set("kernel.simd", std::string("scalar"));
+    auto o = FullSystemOptions::fromConfig(cfg);
+    o.app = "lu";
+    o.ops_per_core = 60;
+    o.mem.l1_sets = 16;
+    auto before = warnCount();
+    FullSystem sys(cfg, o);
+    EXPECT_EQ(warnCount() - before, 2u);
+}
+
 TEST(FullSystem, WellFormedConfigDoesNotWarn)
 {
     Config cfg;

@@ -3,8 +3,8 @@
  * Full-system kernel differential: the co-simulation runs the
  * benchmark measures — the 8x8 radix accuracy target at quantum 256
  * and the 4x4 lu lane at quantum 64 — must end at the same tick with
- * the same complete statistics dump under `network.kernel=object` and
- * the default `soa`. This is the default-kernel contract at the level
+ * the same complete statistics dump under the object-path oracle and
+ * the production SoA kernel. This is the kernel contract at the level
  * of a whole run (cores, caches, directory, bridge coupling and tuned
  * latency table included), with small op budgets.
  */
@@ -16,6 +16,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/oracle_kernel.hh"
 #include "cosim/full_system.hh"
 #include "sim/config.hh"
 #include "stats/output.hh"
@@ -36,13 +37,12 @@ struct Outcome
 };
 
 Outcome
-runWith(const Keys &keys, const char *kernel)
+runWith(const Keys &keys, bool oracle)
 {
     Config cfg;
     for (const auto &[k, v] : keys)
         cfg.set(k, v);
-    if (kernel)
-        cfg.set("network.kernel", std::string(kernel));
+    test::OracleKernel kernel(oracle);
     FullSystem sys(cfg, FullSystemOptions::fromConfig(cfg));
     Outcome o;
     o.finish = sys.run();
@@ -56,19 +56,15 @@ runWith(const Keys &keys, const char *kernel)
 void
 expectKernelsAgree(const Keys &keys)
 {
-    Outcome object = runWith(keys, "object");
-    Outcome soa = runWith(keys, "soa");
-    Outcome by_default = runWith(keys, nullptr);
+    Outcome object = runWith(keys, true);
+    Outcome soa = runWith(keys, false);
     ASSERT_TRUE(object.done);
     ASSERT_TRUE(soa.done);
     // The dump covers the detailed fabric's per-router counters.
     ASSERT_NE(soa.stats.find("flits_routed"), std::string::npos);
     EXPECT_EQ(soa.finish, object.finish);
     EXPECT_TRUE(soa.stats == object.stats)
-        << "stats dumps differ between network.kernel=object and soa";
-    // The default is soa: same run, same bytes.
-    EXPECT_EQ(by_default.finish, soa.finish);
-    EXPECT_TRUE(by_default.stats == soa.stats);
+        << "stats dumps differ between the oracle and soa";
 }
 
 TEST(KernelDifferential, AccuracyTargetMesh8Radix)

@@ -102,7 +102,6 @@ buildCorpus()
         HelloRequest req;
         req.model = "cycle";
         req.params = smallMesh();
-        req.start_tick = 4096;
         ArchiveWriter aw = beginMessage(MsgType::Hello);
         encodeHello(aw, req);
         add(std::move(aw));

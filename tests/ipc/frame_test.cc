@@ -191,7 +191,6 @@ TEST(Protocol, HelloRoundTrip)
     req.params.columns = 6;
     req.params.rows = 5;
     req.engine_workers = 4;
-    req.start_tick = 12345;
     req.table_alpha = 0.125;
     req.table_pair_granularity = true;
     req.table_max_hops = 11;
@@ -210,10 +209,33 @@ TEST(Protocol, HelloRoundTrip)
     EXPECT_EQ(got.params.columns, 6);
     EXPECT_EQ(got.params.rows, 5);
     EXPECT_EQ(got.engine_workers, 4);
-    EXPECT_EQ(got.start_tick, 12345u);
     EXPECT_DOUBLE_EQ(got.table_alpha, 0.125);
     EXPECT_TRUE(got.table_pair_granularity);
     EXPECT_EQ(got.table_max_hops, 11);
+}
+
+TEST(Protocol, HelloOfAnotherRevisionIsRefusedBeforeItsBody)
+{
+    // Only the version is read: an older client's body may not even
+    // parse under this revision's layout, and the error must name the
+    // version, not the first field that failed to decode.
+    auto [a, b] = makePair();
+    ArchiveWriter aw = beginMessage(MsgType::Hello);
+    aw.putU32(protocol_version - 1);
+    aw.putU8(0xff);
+    sendMessage(a, std::move(aw));
+
+    auto msg = recvMessage(b, 1000.0);
+    ASSERT_TRUE(msg.has_value());
+    try {
+        (void)decodeHello(msg->ar);
+        FAIL() << "a Hello of another revision decoded";
+    } catch (const SimError &e) {
+        EXPECT_EQ(e.kind(), ErrorKind::Transport);
+        EXPECT_NE(std::string(e.what()).find("version mismatch"),
+                  std::string::npos)
+            << e.what();
+    }
 }
 
 TEST(Protocol, PacketBatchRoundTrip)

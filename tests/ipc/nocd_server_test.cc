@@ -150,6 +150,33 @@ TEST_F(ServerFixture, InjectAdvanceDelivers)
         EXPECT_GT(pkt->latency(), 0u);
 }
 
+TEST_F(ServerFixture, EmptyStepCatchesAFreshSessionUp)
+{
+    // A session opened past tick 0 (a client re-engaging mid-run
+    // without a base image) is caught up by an empty Step: the fresh
+    // fabric advances idle, and injections from the client's clock on
+    // are delivered as usual.
+    Fd fd = connect();
+    HelloRequest req;
+    req.params.columns = 4;
+    req.params.rows = 4;
+    EXPECT_EQ(hello(fd, req).cur_time, 0u);
+
+    AdvanceReply caught = step(fd, 4096);
+    EXPECT_EQ(caught.cur_time, 4096u);
+    EXPECT_TRUE(caught.idle);
+    EXPECT_EQ(caught.injected, 0u);
+    EXPECT_TRUE(caught.deliveries.empty());
+
+    std::vector<noc::PacketPtr> pkts;
+    pkts.push_back(
+        noc::makePacket(1, 0, 15, noc::MsgClass::Request, 8, 4100));
+    AdvanceReply rep = step(fd, 9000, pkts);
+    EXPECT_EQ(rep.delivered, 1u);
+    ASSERT_EQ(rep.deliveries.size(), 1u);
+    EXPECT_GT(rep.deliveries[0]->deliver_tick, 4100u);
+}
+
 TEST_F(ServerFixture, RequestBeforeHelloIsATypedError)
 {
     Fd fd = connect();
@@ -174,13 +201,26 @@ TEST_F(ServerFixture, ProtocolVersionMismatchIsRejected)
 
 TEST_F(ServerFixture, OlderClientProtocolIsRejected)
 {
-    // A client one revision behind (v4 still spoke the blocking
-    // exchange) is refused at Hello, before it can send one.
+    // A v5 client's Hello, byte for byte: v5 still carried the kernel
+    // selection (network.kernel, kernel.simd) and a start tick. It is
+    // refused by its version, not misread as a v6 body.
     Fd fd = connect();
-    HelloRequest req;
-    req.proto = protocol_version - 1;
     ArchiveWriter aw = beginMessage(MsgType::Hello);
-    encodeHello(aw, req);
+    aw.putU32(5);
+    aw.putString("cycle");
+    for (std::uint32_t v : {4u, 4u})
+        aw.putU32(v); // columns, rows
+    aw.putString("mesh");
+    aw.putString("xy");
+    for (std::uint32_t v : {2u, 1u, 4u, 1u, 2u, 16u})
+        aw.putU32(v); // vcs_per_vnet ... flit_bytes
+    aw.putString("soa");
+    aw.putString("auto");
+    aw.putU32(0);    // engine_workers
+    aw.putU64(4096); // start_tick
+    aw.putDouble(0.05);
+    aw.putBool(false);
+    aw.putU32(0);
     Message rep = call(fd, std::move(aw));
     expectError(rep, ErrorKind::Transport, "version mismatch");
 }

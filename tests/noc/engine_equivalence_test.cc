@@ -15,6 +15,7 @@
 #include <tuple>
 #include <vector>
 
+#include "common/oracle_kernel.hh"
 #include "noc/cycle_network.hh"
 #include "noc/deflection_network.hh"
 #include "sim/parallel_engine.hh"
@@ -85,11 +86,11 @@ template <typename Net>
 RunResult
 runNetwork(StepEngine *engine, const std::string &kernel = "object")
 {
+    test::OracleKernel oracle(kernel == "object");
     Simulation sim;
     NocParams p;
     p.columns = 8;
     p.rows = 8;
-    p.kernel = kernel;
     Net net(sim, "net", p);
     if (engine)
         net.setEngine(engine);
@@ -128,7 +129,7 @@ template <typename Net>
 void
 expectEngineEquivalence()
 {
-    // Object-kernel serial is the single reference; every other
+    // Oracle-kernel serial is the single reference; every other
     // (kernel × engine) cell must be bit-identical to it.
     RunResult serial = runNetwork<Net>(nullptr);
     ASSERT_EQ(serial.deliveries.size(), 600u);

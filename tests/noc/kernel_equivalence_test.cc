@@ -1,11 +1,11 @@
 /**
  * @file
- * Object-vs-SoA compute-kernel differential: `network.kernel = soa`
- * must be bit-identical to the object reference on both detailed
- * backends — same deliveries, same rendered stats tree, and the same
- * checkpoint *bytes*, which is what makes checkpoints interchangeable
- * across kernels. Also covers the SIMD lane (scalar vs dispatched
- * AVX2 must agree) and the typed rejection of bad kernel/simd config.
+ * Oracle-vs-SoA compute-kernel differential: the production SoA
+ * kernel must be bit-identical to the object-path oracle on both
+ * detailed backends — same deliveries, same rendered stats tree, and
+ * the same checkpoint *bytes*, which is what makes checkpoints
+ * interchangeable between them. Also covers the SIMD lane (scalar vs
+ * dispatched AVX2 must agree).
  */
 
 #include <gtest/gtest.h>
@@ -14,7 +14,7 @@
 #include <tuple>
 #include <vector>
 
-#include "common/expect_error.hh"
+#include "common/oracle_kernel.hh"
 #include "noc/cycle_network.hh"
 #include "noc/deflection_network.hh"
 #include "sim/cpuid.hh"
@@ -65,15 +65,29 @@ struct RunResult
 };
 
 NocParams
-testParams(const std::string &kernel, const std::string &simd = "auto")
+testParams()
 {
     NocParams p;
     p.columns = 6;
     p.rows = 6;
-    p.kernel = kernel;
-    p.simd = simd;
     return p;
 }
+
+/** Forces the scalar SoA path for the networks built while it lives. */
+struct ScalarHost
+{
+    explicit ScalarHost(bool enable) : enabled(enable)
+    {
+        if (enabled)
+            cpuid::setHostOverrideForTest(false);
+    }
+    ~ScalarHost()
+    {
+        if (enabled)
+            cpuid::clearHostOverrideForTest();
+    }
+    bool enabled;
+};
 
 template <typename Net>
 void
@@ -91,13 +105,16 @@ injectTraffic(Net &net)
     }
 }
 
-/** Run to completion, snapshotting a mid-run checkpoint at tick 200. */
+/** Run to completion under @p kernel ("object" is the oracle),
+ *  snapshotting a mid-run checkpoint at tick 200. */
 template <typename Net>
 RunResult
-runKernel(const std::string &kernel, const std::string &simd = "auto")
+runKernel(const std::string &kernel, bool scalar = false)
 {
+    test::OracleKernel oracle(kernel == "object");
+    ScalarHost host(scalar);
     Simulation sim;
-    Net net(sim, "net", testParams(kernel, simd));
+    Net net(sim, "net", testParams());
     RunResult r;
     net.setDeliveryHandler([&r](const PacketPtr &pkt) {
         r.deliveries.push_back(
@@ -154,60 +171,56 @@ TEST(KernelEquivalence, DeflectionNetworkSoaMatchesObject)
 
 TEST(KernelEquivalence, SimdLaneMatchesForcedScalar)
 {
-    // kernel.simd=scalar versus the dispatched default ("auto", which
-    // picks AVX2 on a capable host/build): the occupancy scan is the
-    // only SIMD-touched code, and skipping an all-idle node is a
-    // provable no-op, so the runs must agree bit for bit.
-    RunResult scalar = runKernel<CycleNetwork>("soa", "scalar");
-    RunResult dispatched = runKernel<CycleNetwork>("soa", "auto");
+    // The forced scalar path versus the dispatched default (AVX2 on a
+    // capable host/build): the occupancy scan is the only SIMD-touched
+    // code, and skipping an all-idle node is a provable no-op, so the
+    // runs must agree bit for bit.
+    RunResult scalar = runKernel<CycleNetwork>("soa", true);
+    RunResult dispatched = runKernel<CycleNetwork>("soa");
     expectSameRun(scalar, dispatched, "cycle simd lane");
 
-    RunResult dscalar = runKernel<DeflectionNetwork>("soa", "scalar");
-    RunResult ddispatched = runKernel<DeflectionNetwork>("soa", "auto");
+    RunResult dscalar = runKernel<DeflectionNetwork>("soa", true);
+    RunResult ddispatched = runKernel<DeflectionNetwork>("soa");
     expectSameRun(dscalar, ddispatched, "deflection simd lane");
 }
 
 TEST(KernelEquivalence, FabricDescribesItsDispatch)
 {
     Simulation sim;
-    CycleNetwork obj(sim, "obj", testParams("object"));
-    EXPECT_EQ(std::string(obj.fabric().kindName()), "object");
-
-    CycleNetwork soa(sim, "soa", testParams("soa", "scalar"));
+    {
+        test::OracleKernel oracle;
+        CycleNetwork obj(sim, "obj", testParams());
+        EXPECT_EQ(std::string(obj.fabric().kindName()), "object");
+        DeflectionNetwork dobj(sim, "dobj", testParams());
+        EXPECT_EQ(std::string(dobj.fabric().kindName()), "object");
+    }
+    ScalarHost host(true);
+    CycleNetwork soa(sim, "soa", testParams());
     EXPECT_EQ(std::string(soa.fabric().kindName()), "soa");
     EXPECT_NE(soa.fabric().description().find("scalar"),
               std::string::npos);
 }
 
-TEST(KernelEquivalence, UnknownKernelRejected)
+TEST(KernelEquivalence, FabricRunsTheDispatchedLevel)
 {
-    NocParams p = testParams("object");
-    p.kernel = "vector";
-    EXPECT_SIM_ERROR(p.validate(), "unknown network.kernel");
-}
-
-TEST(KernelEquivalence, UnknownSimdPolicyRejected)
-{
-    NocParams p = testParams("soa");
-    p.simd = "sse9";
-    EXPECT_SIM_ERROR(p.validate(), "unknown kernel.simd");
-}
-
-TEST(KernelEquivalence, SoaWithUnsatisfiableAvx2Rejected)
-{
-    if (!cpuid::simdCompiledIn())
-        GTEST_SKIP() << "AVX2 kernel not compiled in (RASIM_SIMD=off)";
-    // Constructing a soa network with an explicit kernel.simd=avx2 on
-    // a host without AVX2 must raise SimError(Config) at build time,
-    // not fall back silently.
-    cpuid::setHostOverrideForTest(false);
-    {
+    // The SoA fabrics take their SIMD level from the host at build
+    // time: AVX2 where the build and CPU allow it, scalar otherwise.
+    for (bool has_avx2 : {true, false}) {
+        cpuid::setHostOverrideForTest(has_avx2);
+        const std::string want =
+            std::string("simd=") +
+            cpuid::simdLevelName(cpuid::hostSimdLevel());
         Simulation sim;
-        EXPECT_SIM_ERROR(
-            CycleNetwork(sim, "net", testParams("soa", "avx2")),
-            "avx2");
+        CycleNetwork cyc(sim, "cyc", testParams());
+        DeflectionNetwork defl(sim, "defl", testParams());
+        cpuid::clearHostOverrideForTest();
+        EXPECT_NE(cyc.fabric().description().find(want),
+                  std::string::npos)
+            << cyc.fabric().description();
+        EXPECT_NE(defl.fabric().description().find(want),
+                  std::string::npos)
+            << defl.fabric().description();
     }
-    cpuid::clearHostOverrideForTest();
 }
 
 } // namespace

@@ -9,7 +9,7 @@
  *    archives, is held to the same table;
  *  - a geometry past the kernel's fixed-width limits (ports per
  *    router, VCs per port, buffer depth) is a typed config error that
- *    names network.kernel=object as the way out.
+ *    states the limit.
  *
  * The corrupt archives are made by re-encoding a real mid-run image
  * field by field (the layout both kernels share) with one value
@@ -24,6 +24,7 @@
 #include <string>
 
 #include "common/expect_error.hh"
+#include "common/oracle_kernel.hh"
 #include "noc/cycle_network.hh"
 #include "noc/kernel/soa_cycle.hh"
 #include "sim/rng.hh"
@@ -45,7 +46,6 @@ meshParams()
     // Two-cycle links keep flits and credits on the links between
     // cycles (a one-cycle link delivers within the cycle it sends).
     p.link_latency = 2;
-    p.kernel = "soa";
     return p;
 }
 
@@ -288,13 +288,14 @@ struct BadField
     std::int64_t value;
 };
 
-/** Restore every corruption of a mid-run archive under @p kernel;
- *  each must fail with that kernel's typed restore error. */
+/** Restore every corruption of a mid-run archive under @p kernel
+ *  ("object" is the oracle); each must fail with that kernel's typed
+ *  restore error. */
 void
 everyOutOfRangeIndexIsATypedError(const char *kernel)
 {
+    test::OracleKernel oracle(std::string(kernel) == "object");
     NocParams p = meshParams();
-    p.kernel = kernel;
     const std::int64_t V = p.totalVcs();      // 6
     const std::int64_t W = p.vcs_per_vnet;    // 2
     const std::int64_t D = p.buffer_depth;    // 4
@@ -360,10 +361,11 @@ TEST(SoaRestore, ActiveVcWithoutAnOutputIsATypedError)
     EXPECT_SIM_ERROR(restoreInto(p, bad), "VC output port");
 }
 
-/** The geometry limits raise SimError(Config) naming the object
- *  kernel as the fallback. */
+/** The geometry limits raise SimError(Config) stating the limit
+ *  (@p limit is a substring of the message). */
 ::testing::AssertionResult
-configErrorNamingObject(const std::function<void()> &fn)
+configErrorStating(const std::string &limit,
+                   const std::function<void()> &fn)
 {
     logging::ThrowOnError guard;
     try {
@@ -372,10 +374,9 @@ configErrorNamingObject(const std::function<void()> &fn)
         if (e.kind() != ErrorKind::Config)
             return ::testing::AssertionFailure()
                    << "wrong kind: " << e.what();
-        if (std::string(e.what()).find("network.kernel=object") ==
-            std::string::npos)
+        if (std::string(e.what()).find(limit) == std::string::npos)
             return ::testing::AssertionFailure()
-                   << "no way out named: " << e.what();
+                   << "limit '" << limit << "' not stated: " << e.what();
         return ::testing::AssertionSuccess();
     }
     return ::testing::AssertionFailure() << "no SimError was thrown";
@@ -384,29 +385,22 @@ configErrorNamingObject(const std::function<void()> &fn)
 TEST(SoaGeometry, TooManyVcsPerPortRejected)
 {
     // 3 vnets x 22 VCs = 66 VCs per port: past one 64-bit request
-    // word. soa is the default, so the default-kernel build fails.
+    // word. NocParams::validate() refuses it, so no network builds.
     NocParams p;
     p.columns = 2;
     p.rows = 2;
     p.vcs_per_vnet = 22;
-    EXPECT_TRUE(configErrorNamingObject([&] {
+    EXPECT_TRUE(configErrorStating("at most 64 VCs per port",
+                                   [&] { p.validate(); }));
+    EXPECT_TRUE(configErrorStating("at most 64 VCs per port", [&] {
         Simulation sim;
         CycleNetwork net(sim, "net", p);
     }));
 
-    // The widest geometry that fits (63 VCs) and the named way out
-    // both build.
+    // The widest geometry that fits (63 VCs) builds.
     p.vcs_per_vnet = 21;
-    {
-        Simulation sim;
-        CycleNetwork net(sim, "net", p);
-    }
-    p.vcs_per_vnet = 22;
-    p.kernel = "object";
-    {
-        Simulation sim;
-        CycleNetwork net(sim, "net", p);
-    }
+    Simulation sim;
+    CycleNetwork net(sim, "net", p);
 }
 
 TEST(SoaGeometry, TooDeepBuffersRejected)
@@ -414,8 +408,8 @@ TEST(SoaGeometry, TooDeepBuffersRejected)
     NocParams p;
     p.columns = 2;
     p.rows = 2;
-    p.buffer_depth = kernel::SoaCycleFabric::max_buffer_depth + 1;
-    EXPECT_TRUE(configErrorNamingObject([&] {
+    p.buffer_depth = NocParams::max_buffer_depth + 1;
+    EXPECT_TRUE(configErrorStating("buffer_depth must be <= 65535", [&] {
         Simulation sim;
         CycleNetwork net(sim, "net", p);
     }));
@@ -427,15 +421,12 @@ TEST(SoaGeometry, TooManyPortsRejected)
     // layout holds, so the port limit is checked on the geometry
     // alone.
     using kernel::SoaCycleFabric;
-    EXPECT_TRUE(configErrorNamingObject([] {
-        SoaCycleFabric::checkGeometry("hypercube",
-                                      SoaCycleFabric::max_ports + 1, 6,
-                                      4);
+    EXPECT_TRUE(configErrorStating("at most 5 ports", [] {
+        SoaCycleFabric::checkPorts("hypercube",
+                                   SoaCycleFabric::max_ports + 1);
     }));
     logging::ThrowOnError guard;
-    SoaCycleFabric::checkGeometry("mesh", SoaCycleFabric::max_ports,
-                                  SoaCycleFabric::max_vcs,
-                                  SoaCycleFabric::max_buffer_depth);
+    SoaCycleFabric::checkPorts("mesh", SoaCycleFabric::max_ports);
 }
 
 } // namespace

@@ -1,23 +1,26 @@
 /**
  * @file
- * Config-space differential of the two CycleNetwork kernels. For each
- * point, `network.kernel=object` and `soa` must agree on every
- * delivery, the full stats tree and the bytes of a mid-run checkpoint;
- * and the object kernel's checkpoint, restored under soa, must finish
- * the run the same way (so restore()'s range checks accept every
- * legal image).
+ * Config-space differential of the SoA kernel against the object-path
+ * oracle, on both detailed networks. For each point the two must agree
+ * on every delivery, the full stats tree and the bytes of a mid-run
+ * checkpoint; and the oracle's checkpoint, restored under soa, must
+ * finish the run the same way (so restore()'s range checks accept
+ * every legal image).
  *
- * Points are drawn from a seeded generator over mesh and torus with
- * rows != columns, xy/yx/westfirst routing (westfirst on meshes only:
- * the turn model is not deadlock-free across wrap links), 1-4 VCs per
- * pool, 1-4 flit buffers, 1-3 pipeline stages, 1-2 cycle links and
- * offered loads from 0.002 packets/node/cycle to far past saturation.
+ * CycleNetwork points are drawn from a seeded generator over mesh and
+ * torus with rows != columns, xy/yx/westfirst routing (westfirst on
+ * meshes only: the turn model is not deadlock-free across wrap links),
+ * 1-4 VCs per pool, 1-4 flit buffers, 1-3 pipeline stages, 1-2 cycle
+ * links and offered loads from 0.002 packets/node/cycle to far past
+ * saturation. DeflectionNetwork points cover mesh and torus with
+ * rows != columns, 8-32 byte flits and offered loads from 0.002 to far
+ * past 0.1, where deflections start to snowball.
  *
- * Budget: RASIM_KERNEL_SWEEP_POINTS points (default 48) starting at
- * seed RASIM_KERNEL_SWEEP_SEED (default 1). A failure prints the seed
- * and its config; rerun one point with
+ * Budget: RASIM_KERNEL_SWEEP_POINTS points per network (default 48)
+ * starting at seed RASIM_KERNEL_SWEEP_SEED (default 1). A failure
+ * prints the seed and its config; rerun one point with
  *   RASIM_KERNEL_SWEEP_SEED=<seed> RASIM_KERNEL_SWEEP_POINTS=1 \
- *       ./noc_kernel_sweep_test
+ *       ./noc_kernel_sweep_test --gtest_filter=<the failing test>
  */
 
 #include <gtest/gtest.h>
@@ -29,7 +32,9 @@
 #include <tuple>
 #include <vector>
 
+#include "common/oracle_kernel.hh"
 #include "noc/cycle_network.hh"
+#include "noc/deflection_network.hh"
 #include "sim/rng.hh"
 #include "sim/serialize.hh"
 #include "sim/simulation.hh"
@@ -47,6 +52,7 @@ struct Point
     std::uint64_t seed = 0;
     NocParams params;
     double load = 0.0; ///< packets per node per cycle
+    bool deflection = false;
 };
 
 std::string
@@ -54,6 +60,12 @@ describe(const Point &pt)
 {
     const NocParams &p = pt.params;
     std::ostringstream os;
+    if (pt.deflection) {
+        os << "deflection seed=" << pt.seed << " " << p.topology << " "
+           << p.columns << "x" << p.rows
+           << " flit_bytes=" << p.flit_bytes << " load=" << pt.load;
+        return os.str();
+    }
     os << "seed=" << pt.seed << " " << p.topology << " " << p.columns
        << "x" << p.rows << " routing=" << p.routing
        << " vcs_per_vnet=" << p.vcs_per_vnet
@@ -67,13 +79,11 @@ describe(const Point &pt)
 constexpr double kLoads[] = {0.002, 0.005, 0.01, 0.02, 0.05,
                              0.1,   0.2,   0.4,  0.8};
 
-Point
-drawPoint(std::uint64_t seed)
+/** Draw a mesh or torus (returned: is it a torus?) of 1-6 x 1-6
+ *  nodes with rows != columns (2-6 on a torus). */
+bool
+drawShape(Rng &rng, NocParams &p)
 {
-    Rng rng(seed, 0x5eed);
-    Point pt;
-    pt.seed = seed;
-    NocParams &p = pt.params;
     bool torus = rng.bernoulli(0.5);
     p.topology = torus ? "torus" : "mesh";
     p.vc_classes = torus ? 2 : 1;
@@ -82,12 +92,39 @@ drawPoint(std::uint64_t seed)
     do
         p.rows = static_cast<int>(rng.rangeInclusive(lo, 6));
     while (p.rows == p.columns);
+    return torus;
+}
+
+Point
+drawPoint(std::uint64_t seed)
+{
+    Rng rng(seed, 0x5eed);
+    Point pt;
+    pt.seed = seed;
+    NocParams &p = pt.params;
+    bool torus = drawShape(rng, p);
     static const char *const routings[] = {"xy", "yx", "westfirst"};
     p.routing = routings[rng.range(torus ? 2 : 3)];
     p.vcs_per_vnet = static_cast<int>(rng.rangeInclusive(1, 4));
     p.buffer_depth = static_cast<int>(rng.rangeInclusive(1, 4));
     p.pipeline_stages = static_cast<int>(rng.rangeInclusive(1, 3));
     p.link_latency = static_cast<int>(rng.rangeInclusive(1, 2));
+    pt.load = kLoads[rng.range(std::size(kLoads))];
+    return pt;
+}
+
+/** A DeflectionNetwork point: only the topology, its size, the flit
+ *  width and the load shape a bufferless fabric. */
+Point
+drawDeflectionPoint(std::uint64_t seed)
+{
+    Rng rng(seed, 0xdef1);
+    Point pt;
+    pt.seed = seed;
+    pt.deflection = true;
+    drawShape(rng, pt.params);
+    static const std::uint32_t widths[] = {8, 16, 32};
+    pt.params.flit_bytes = widths[rng.range(std::size(widths))];
     pt.load = kLoads[rng.range(std::size(kLoads))];
     return pt;
 }
@@ -135,9 +172,10 @@ struct RunResult
 };
 
 /** Bernoulli injection at pt.load from every node for kInjectCycles,
- *  uniform destinations and classes, 1-8 flit packets. */
+ *  uniform destinations and classes, 8-128 byte packets. */
+template <typename Net>
 void
-injectTraffic(CycleNetwork &net, const Point &pt)
+injectTraffic(Net &net, const Point &pt)
 {
     Rng rng(pt.seed, 7);
     static const std::uint32_t sizes[] = {8, 32, 64, 128};
@@ -152,8 +190,9 @@ injectTraffic(CycleNetwork &net, const Point &pt)
                     sizes[rng.range(4)], t));
 }
 
+template <typename Net>
 void
-drain(CycleNetwork &net, RunResult &r)
+drain(Net &net, RunResult &r)
 {
     for (Tick t = kInjectCycles; t <= kDrainLimit && !net.idle();
          t += 1000)
@@ -162,13 +201,14 @@ drain(CycleNetwork &net, RunResult &r)
     snapshotStats(net, r.stats);
 }
 
+/** Run @p pt under @p kernel ("object" is the oracle). */
+template <typename Net>
 RunResult
 runKernel(const Point &pt, const std::string &kernel)
 {
-    NocParams p = pt.params;
-    p.kernel = kernel;
+    test::OracleKernel oracle(kernel == "object");
     Simulation sim;
-    CycleNetwork net(sim, "net", p);
+    Net net(sim, "net", pt.params);
     RunResult r;
     net.setDeliveryHandler([&r](const PacketPtr &pkt) {
         r.deliveries.push_back(
@@ -186,14 +226,14 @@ runKernel(const Point &pt, const std::string &kernel)
 }
 
 /** Restore @p archive under @p kernel and run to the end. */
+template <typename Net>
 RunResult
 resumeKernel(const Point &pt, const std::string &kernel,
              const std::string &archive)
 {
-    NocParams p = pt.params;
-    p.kernel = kernel;
+    test::OracleKernel oracle(kernel == "object");
     Simulation sim;
-    CycleNetwork net(sim, "net", p);
+    Net net(sim, "net", pt.params);
     RunResult r;
     net.setDeliveryHandler([&r](const PacketPtr &pkt) {
         r.deliveries.push_back(
@@ -238,17 +278,18 @@ firstDifference(const RunResult &ref, const RunResult &got,
 }
 
 /** Run one point under both kernels; "" when every check agrees. */
+template <typename Net>
 std::string
 checkPoint(const Point &pt)
 {
-    RunResult object = runKernel(pt, "object");
-    RunResult soa = runKernel(pt, "soa");
+    RunResult object = runKernel<Net>(pt, "object");
+    RunResult soa = runKernel<Net>(pt, "soa");
     std::string diff = firstDifference(object, soa);
     if (!diff.empty())
         return "soa vs object: " + diff;
     if (soa.archive != object.archive)
         return "soa vs object: checkpoint bytes differ";
-    RunResult resumed = resumeKernel(pt, "soa", object.archive);
+    RunResult resumed = resumeKernel<Net>(pt, "soa", object.archive);
     diff = firstDifference(object, resumed,
                            object.delivered_at_checkpoint);
     if (!diff.empty())
@@ -275,19 +316,41 @@ TEST(KernelSweep, AccuracyTargetConfig)
         pt.params.vcs_per_vnet = 1;
         pt.params.buffer_depth = 2;
         pt.load = load;
-        std::string diff = checkPoint(pt);
+        std::string diff = checkPoint<CycleNetwork>(pt);
         EXPECT_EQ(diff, "") << describe(pt);
     }
 }
 
-TEST(KernelSweep, SeededConfigSpace)
+TEST(KernelSweep, DeflectionA1Config)
+{
+    // The A1 router-organisation comparison's bufferless fabric: a
+    // square 8x8 mesh (the generator draws rows != columns only) at
+    // A1's offered loads, which straddle the 0.1 snowball point, and
+    // one far past it.
+    for (double load : {0.01, 0.03, 0.06, 0.1, 0.14, 0.4}) {
+        Point pt;
+        pt.seed = 88;
+        pt.deflection = true;
+        pt.params.columns = 8;
+        pt.params.rows = 8;
+        pt.load = load;
+        std::string diff = checkPoint<DeflectionNetwork>(pt);
+        EXPECT_EQ(diff, "") << describe(pt);
+    }
+}
+
+/** Check the seeded budget of points drawn by @p draw on @p Net,
+ *  reporting up to five failing seeds. */
+template <typename Net>
+void
+sweep(Point (*draw)(std::uint64_t))
 {
     std::uint64_t first = envOr("RASIM_KERNEL_SWEEP_SEED", 1);
     std::uint64_t points = envOr("RASIM_KERNEL_SWEEP_POINTS", 48);
     int failures = 0;
     for (std::uint64_t s = first; s < first + points; ++s) {
-        Point pt = drawPoint(s);
-        std::string diff = checkPoint(pt);
+        Point pt = draw(s);
+        std::string diff = checkPoint<Net>(pt);
         if (diff.empty())
             continue;
         ADD_FAILURE() << "kernel sweep failed at " << describe(pt)
@@ -297,6 +360,16 @@ TEST(KernelSweep, SeededConfigSpace)
         if (++failures == 5)
             break;
     }
+}
+
+TEST(KernelSweep, SeededConfigSpace)
+{
+    sweep<CycleNetwork>(drawPoint);
+}
+
+TEST(KernelSweep, DeflectionSeededConfigSpace)
+{
+    sweep<DeflectionNetwork>(drawDeflectionPoint);
 }
 
 TEST(KernelSweep, GeneratorCoversTheSpace)
@@ -332,6 +405,31 @@ TEST(KernelSweep, GeneratorCoversTheSpace)
     for (int k = 1; k <= 3; ++k)
         EXPECT_GT(stages[k], 0) << "pipeline_stages " << k;
     EXPECT_GT(past_saturation, 0);
+    EXPECT_GT(light, 0);
+}
+
+TEST(KernelSweep, DeflectionGeneratorCoversTheSpace)
+{
+    std::uint64_t points = envOr("RASIM_KERNEL_SWEEP_POINTS", 48);
+    std::uint64_t first = envOr("RASIM_KERNEL_SWEEP_SEED", 1);
+    if (points < 48)
+        GTEST_SKIP() << "budget below the default";
+    std::vector<int> topo(2), width(3);
+    int past_snowball = 0, light = 0;
+    for (std::uint64_t s = first; s < first + points; ++s) {
+        Point pt = drawDeflectionPoint(s);
+        const NocParams &p = pt.params;
+        EXPECT_NE(p.rows, p.columns) << describe(pt);
+        ++topo[p.topology == "torus"];
+        ++width[p.flit_bytes == 8 ? 0 : p.flit_bytes == 16 ? 1 : 2];
+        past_snowball += pt.load > 0.1;
+        light += pt.load <= 0.01;
+    }
+    for (int k = 0; k < 2; ++k)
+        EXPECT_GT(topo[k], 0) << "topology " << k;
+    for (int k = 0; k < 3; ++k)
+        EXPECT_GT(width[k], 0) << "flit width " << k;
+    EXPECT_GT(past_snowball, 0);
     EXPECT_GT(light, 0);
 }
 

@@ -5,7 +5,7 @@
 
 #include <gtest/gtest.h>
 
-#include "noc/link.hh"
+#include "noc/oracle/link.hh"
 
 namespace
 {

@@ -15,6 +15,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/oracle_kernel.hh"
 #include "noc/cycle_network.hh"
 #include "noc/deflection_network.hh"
 #include "sim/parallel_engine.hh"
@@ -67,12 +68,11 @@ struct RunResult
 };
 
 NocParams
-testParams(const std::string &kernel = "object")
+testParams()
 {
     NocParams p;
     p.columns = 8;
     p.rows = 8;
-    p.kernel = kernel;
     return p;
 }
 
@@ -97,6 +97,7 @@ template <typename Net>
 RunResult
 runStraight(StepEngine *engine)
 {
+    test::OracleKernel oracle;
     Simulation sim;
     Net net(sim, "net", testParams());
     if (engine)
@@ -114,9 +115,9 @@ runStraight(StepEngine *engine)
 }
 
 /** Run to `mid`, archive, restore into a fresh network and finish.
- *  The save-side and restore-side compute kernels are independent:
- *  both backends emit and accept the same archive bytes, so a
- *  checkpoint can hop between them in either direction. */
+ *  The save-side and restore-side compute kernels ("object" is the
+ *  oracle) are independent: both emit and accept the same archive
+ *  bytes, so a checkpoint can hop between them in either direction. */
 template <typename Net>
 RunResult
 runSplit(StepEngine *engine, Tick mid,
@@ -131,8 +132,9 @@ runSplit(StepEngine *engine, Tick mid,
 
     std::string image;
     {
+        test::OracleKernel oracle(save_kernel == "object");
         Simulation sim;
-        Net net(sim, "net", testParams(save_kernel));
+        Net net(sim, "net", testParams());
         if (engine)
             net.setEngine(engine);
         net.setDeliveryHandler(record);
@@ -147,8 +149,9 @@ runSplit(StepEngine *engine, Tick mid,
         image = aw.finish();
     } // the original network is gone — restore starts from scratch
 
+    test::OracleKernel oracle(restore_kernel == "object");
     Simulation sim;
-    Net net(sim, "net", testParams(restore_kernel));
+    Net net(sim, "net", testParams());
     if (engine)
         net.setEngine(engine);
     net.setDeliveryHandler(record);
@@ -258,6 +261,7 @@ TEST(ResumeEquivalence, ArchiveBytesAreReproducible)
     // Two identical runs must produce byte-identical archives — the
     // property that lets a CRC stand in for a deep comparison.
     auto image = [](Tick mid) {
+        test::OracleKernel oracle;
         Simulation sim;
         CycleNetwork net(sim, "net", testParams());
         injectTraffic(net);

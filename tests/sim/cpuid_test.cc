@@ -1,17 +1,13 @@
 /**
  * @file
- * SIMD dispatch policy tests. The host override hook lets every path
- * run on any build host: graceful "auto" fallback, explicit "scalar",
- * explicit "avx2" on a capable host, and the two rejection paths — an
- * explicit "avx2" request that the build or the CPU cannot satisfy
- * must raise a typed SimError instead of silently degrading.
+ * SIMD dispatch tests. The host override hook lets every path run on
+ * any build host: AVX2 when it is compiled in and the host has it,
+ * scalar otherwise, and real detection back once the override is
+ * cleared.
  */
 
 #include <gtest/gtest.h>
 
-#include <string>
-
-#include "common/expect_error.hh"
 #include "sim/cpuid.hh"
 
 namespace
@@ -37,68 +33,29 @@ TEST(Cpuid, LevelNames)
     EXPECT_STREQ(cpuid::simdLevelName(SimdLevel::Avx2), "avx2");
 }
 
-TEST(Cpuid, ScalarAlwaysResolves)
-{
-    HostOverride host(true);
-    EXPECT_EQ(cpuid::resolveSimdLevel("scalar"), SimdLevel::Scalar);
-}
-
 TEST(Cpuid, AutoPicksAvx2WhenAvailable)
 {
     HostOverride host(true);
     SimdLevel want = cpuid::simdCompiledIn() ? SimdLevel::Avx2
                                              : SimdLevel::Scalar;
-    EXPECT_EQ(cpuid::resolveSimdLevel("auto"), want);
+    EXPECT_EQ(cpuid::hostSimdLevel(), want);
 }
 
 TEST(Cpuid, AutoFallsBackToScalarWithoutHostSupport)
 {
-    // "auto" on a pre-AVX2 host silently degrades: the scalar kernel
-    // is bit-identical, so there is nothing to warn about.
+    // A pre-AVX2 host silently runs scalar: the scalar kernel is
+    // bit-identical, so there is nothing to warn about.
     HostOverride host(false);
-    EXPECT_EQ(cpuid::resolveSimdLevel("auto"), SimdLevel::Scalar);
+    EXPECT_EQ(cpuid::hostSimdLevel(), SimdLevel::Scalar);
 }
 
-TEST(Cpuid, ExplicitAvx2HonouredWhenAvailable)
+TEST(Cpuid, ClearingTheOverrideRestoresDetection)
 {
-    if (!cpuid::simdCompiledIn())
-        GTEST_SKIP() << "AVX2 kernel not compiled in (RASIM_SIMD=off)";
-    HostOverride host(true);
-    EXPECT_EQ(cpuid::resolveSimdLevel("avx2"), SimdLevel::Avx2);
-}
-
-TEST(Cpuid, ExplicitAvx2RejectedWithoutHostSupport)
-{
-    if (!cpuid::simdCompiledIn())
-        GTEST_SKIP() << "AVX2 kernel not compiled in (RASIM_SIMD=off)";
-    // A forced kernel choice is a reproducibility statement; the
-    // simulator must refuse rather than quietly run scalar.
-    HostOverride host(false);
-    EXPECT_SIM_ERROR(cpuid::resolveSimdLevel("avx2"), "avx2");
-}
-
-TEST(Cpuid, ExplicitAvx2RejectedWhenNotCompiledIn)
-{
-    if (cpuid::simdCompiledIn())
-        GTEST_SKIP() << "AVX2 kernel compiled in (RASIM_SIMD=on)";
-    HostOverride host(true);
-    EXPECT_SIM_ERROR(cpuid::resolveSimdLevel("avx2"), "avx2");
-}
-
-TEST(Cpuid, UnknownPolicyRejected)
-{
-    EXPECT_SIM_ERROR(cpuid::resolveSimdLevel("sse9"), "sse9");
-}
-
-TEST(Cpuid, TypedAsConfigError)
-{
-    logging::ThrowOnError guard;
-    try {
-        (void)cpuid::resolveSimdLevel("bogus");
-        FAIL() << "no SimError raised";
-    } catch (const SimError &e) {
-        EXPECT_EQ(e.kind(), ErrorKind::Config);
+    const SimdLevel detected = cpuid::hostSimdLevel();
+    {
+        HostOverride host(!cpuid::hostHasAvx2());
     }
+    EXPECT_EQ(cpuid::hostSimdLevel(), detected);
 }
 
 } // namespace
